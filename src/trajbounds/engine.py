@@ -208,7 +208,11 @@ def _terminal_row(grid: Grid, payoff) -> np.ndarray:
     row = np.full(spec.width, -_BIG)
     w = spec.column_half_width(spec.n2)
     for k in range(-w, w + 1):
-        row[k + spec.n1] = payoff.value_at(grid.price(k))
+        z = payoff.value_at(grid.price(k))
+        # Inner liquidation rows read a subset of these price levels.
+        if not math.isfinite(z):
+            raise ValueError(f"payoff is {z!r} at price level k={k} (s_k={grid.price(k)!r})")
+        row[k + spec.n1] = z
     return row
 
 
@@ -247,13 +251,12 @@ def _resolve_vertex(grid, rule, payoff, U, k: int, j: int, in_lam: bool,
     return sol.value, sol.slope, False
 
 
-def _sweep_banded(grid: Grid, rule: TransitionRule, payoff):
+def _sweep_banded(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
     """Vectorized descending-j sweep.  Returns (U, slope, prov) full-width arrays."""
     spec = grid.spec
     n1, n2, W = spec.n1, spec.n2, spec.width
     delta = spec.delta
     lam = set(spec.lam)
-    reach = reachable_masks(spec, rule)
     prices = grid.prices
 
     U = np.full((n2 + 1, W), np.nan)
@@ -322,10 +325,8 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, payoff):
         Pj[ok] = PROV_CONTINUATION
         Sj = np.where(ok, srow, np.nan)
 
-        for i in np.flatnonzero(~ok[col]) + (n1 - wj):
+        for i in np.flatnonzero(~ok & reach[j]):
             k = int(i) - n1
-            if not reach[j, i]:
-                continue
             res = _resolve_vertex(grid, rule, payoff, U, k, j, in_lam, True)
             if res is None:
                 continue
@@ -349,20 +350,19 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, payoff):
     return U, slope, prov
 
 
-def _sweep_generic(grid: Grid, rule: TransitionRule, payoff):
+def _sweep_generic(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
     """Reference per-vertex sweep with identical semantics to the banded one."""
     spec = grid.spec
     n1, n2, W = spec.n1, spec.n2, spec.width
     lam = set(spec.lam)
-    reach = reachable_masks(spec, rule)
     U = np.full((n2 + 1, W), np.nan)
     slope = np.full((n2 + 1, W), np.nan)
     prov = np.zeros((n2 + 1, W), dtype=np.int8)
     wterm = spec.column_half_width(n2)
-    for k in range(-wterm, wterm + 1):
-        U[n2, k + n1] = payoff.value_at(grid.price(k))
-        slope[n2, k + n1] = 0.0
-        prov[n2, k + n1] = PROV_TERMINAL_PAYOFF
+    term = slice(n1 - wterm, n1 + wterm + 1)
+    U[n2, term] = _terminal_row(grid, payoff)[term]
+    slope[n2, term] = 0.0
+    prov[n2, term] = PROV_TERMINAL_PAYOFF
     for j in range(n2 - 1, -1, -1):
         in_lam = j in lam
         for k in grid.column_ks(j):
@@ -391,8 +391,9 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
     min(payoff, continuation) there.
     """
     sweep = _sweep_banded if method == "banded" else _sweep_generic
-    upper, slope_up, prov = sweep(grid, rule, payoff)
-    neg_upper, slope_dn, _ = sweep(grid, rule, payoff.negated())
+    reach = reachable_masks(grid.spec, rule)
+    upper, slope_up, prov = sweep(grid, rule, payoff, reach)
+    neg_upper, slope_dn, _ = sweep(grid, rule, payoff.negated(), reach)
     lower = -neg_upper
     return BoundsGrid(grid, payoff, upper, lower, slope_up, slope_dn, prov)
 

@@ -357,8 +357,11 @@ class ModifiedRule(TransitionRule):
         return tuple((dk, 1, hi) for dk in range(0, self.p + 1))
 
     def selection(self, spec: GridSpec) -> frozenset[Vertex]:
+        # Base reachability reads only the grid shape, so specs that differ in
+        # s0, delta, beta or lam share one selection.
         cache = self._cache  # type: ignore[attr-defined]
-        got = cache.get(("sel", spec))
+        key = ("sel", spec.n1, spec.n2, spec.p)
+        got = cache.get(key)
         if got is None:
             reach = reachable_masks(spec, self.base)
             pool: list[Vertex] = []
@@ -369,17 +372,18 @@ class ModifiedRule(TransitionRule):
             order = rng.permutation(len(pool))
             n_sel = int(round(self.fraction * len(pool)))
             got = frozenset(pool[i] for i in order[:n_sel])
-            cache[("sel", spec)] = got
+            cache[key] = got
         return got
 
     def _column_masks(self, spec: GridSpec) -> np.ndarray:
         cache = self._cache  # type: ignore[attr-defined]
-        got = cache.get(("mask", spec))
+        key = ("mask", spec.n1, spec.n2, spec.p)
+        got = cache.get(key)
         if got is None:
             got = np.zeros((spec.n2 + 1, spec.width), dtype=bool)
             for k, j in self.selection(spec):
                 got[j, k + spec.n1] = True
-            cache[("mask", spec)] = got
+            cache[key] = got
         return got
 
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
@@ -469,44 +473,60 @@ def width_mask(spec: GridSpec, j: int) -> np.ndarray:
 
 
 def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
-    """Boolean (n2+1, width) array: vertices reachable from (0, 0)."""
+    """Boolean (n2+1, width) array: vertices reachable from (0, 0).
+
+    Each band of a source column adds its shifted row to a difference array
+    over j at the first column of its dj window and subtracts it one past the
+    last, so a running sum counts the moves landing on each later vertex.
+    """
     n2, w = spec.n2, spec.width
     reach = np.zeros((n2 + 1, w), dtype=bool)
     reach[0, spec.n1] = True
-    wmasks = [width_mask(spec, j) for j in range(n2 + 1)]
+    diff = np.zeros((n2 + 2, w), dtype=np.int32)
+    hits = np.zeros(w, dtype=np.int32)
     for j in range(n2):
-        if not reach[j].any():
-            continue
-        for mask, bands in rule.band_groups(spec, j):
-            src = reach[j] if mask is None else (reach[j] & mask)
-            if not src.any():
-                continue
-            for dk, lo, hi in bands:
-                for dj in range(lo, min(hi, n2 - j) + 1):
-                    reach[j + dj] |= shift_row(src, -dk, False) & wmasks[j + dj]
+        if reach[j].any():
+            for mask, bands in rule.band_groups(spec, j):
+                src = reach[j] if mask is None else (reach[j] & mask)
+                if not src.any():
+                    continue
+                for dk, lo, hi in bands:
+                    hi_eff = min(hi, n2 - j)
+                    if lo > hi_eff:
+                        continue
+                    moved = shift_row(src, -dk, False)
+                    diff[j + lo] += moved
+                    diff[j + hi_eff + 1] -= moved
+        hits += diff[j + 1]
+        reach[j + 1] = (hits > 0) & width_mask(spec, j + 1)
     return reach
 
 
 def _landing_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
-    """Vertices from which some lam-column can be hit exactly (or that sit on one)."""
+    """Vertices from which some lam-column can be hit exactly (or that sit on one).
+
+    ``suf[j]`` counts the landable vertices of each row over columns j..n2, so
+    a band's window OR over columns j+lo..j+hi is a difference of two counts.
+    """
     n2, w = spec.n2, spec.width
     lam = set(spec.lam)
     land = np.zeros((n2 + 1, w), dtype=bool)
-    wmasks = [width_mask(spec, j) for j in range(n2 + 1)]
-    land[n2] = wmasks[n2]
-    for j in range(n2 - 1, -1, -1):
-        acc = np.zeros(w, dtype=bool)
+    suf = np.zeros((n2 + 2, w), dtype=np.int32)
+    for j in range(n2, -1, -1):
+        wmask = width_mask(spec, j)
         if j in lam:
-            acc |= wmasks[j]
+            land[j] = wmask
         else:
             for mask, bands in rule.band_groups(spec, j):
                 grp = np.zeros(w, dtype=bool)
                 for dk, lo, hi in bands:
-                    for dj in range(lo, min(hi, n2 - j) + 1):
-                        grp |= shift_row(land[j + dj], dk, False)
-                grp &= wmasks[j]
-                acc |= grp if mask is None else (grp & mask)
-        land[j] = acc
+                    hi_eff = min(hi, n2 - j)
+                    if lo > hi_eff:
+                        continue
+                    grp |= shift_row(suf[j + lo] - suf[j + hi_eff + 1] > 0, dk, False)
+                grp &= wmask
+                land[j] |= grp if mask is None else (grp & mask)
+        suf[j] = suf[j + 1] + land[j]
     return land
 
 
@@ -551,17 +571,33 @@ def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.n
 # Validation
 # --------------------------------------------------------------------------- #
 
+# ``ValidationReport.codes`` holds indices into NodeClass's declaration order.
+_CLASSES = tuple(NodeClass)
+_UP_DOWN, _FLAT, _POS_ARB, _NEG_ARB, _NZN = range(len(_CLASSES))
+
+
 @dataclass
 class ValidationReport:
-    """Structural audit of reachable non-terminal vertices."""
+    """Structural audit of reachable non-terminal vertices.
+
+    ``codes[j, k + n1]`` is the class code of vertex ``(k, j)`` (an index into
+    ``NodeClass`` order), or -1 where the vertex is unreachable or terminal.
+    """
 
     spec: GridSpec
     rule_kind: str
     counts: dict[NodeClass, int]
-    classes: dict[Vertex, NodeClass]
+    codes: np.ndarray
     arbitrage_vertices: tuple[Vertex, ...]
     not_zero_neutral: tuple[Vertex, ...]
     unlandable: tuple[Vertex, ...]
+
+    @property
+    def classes(self) -> dict[Vertex, NodeClass]:
+        """Class of every reachable non-terminal vertex, in ascending (j, k) order."""
+        live = self.codes >= 0
+        return dict(zip(_vertex_list(self.spec, live),
+                        (_CLASSES[c] for c in self.codes[live].tolist())))
 
     @property
     def ok(self) -> bool:
@@ -589,6 +625,12 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _vertex_list(spec: GridSpec, mask: np.ndarray) -> tuple[Vertex, ...]:
+    """Vertices where a (n2+1, width) mask is set, in ascending (j, k) order."""
+    js, iis = np.nonzero(mask)
+    return tuple(zip((iis - spec.n1).tolist(), js.tolist()))
+
+
 def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
     """Classify every reachable non-terminal vertex and audit liquidation reach.
 
@@ -598,34 +640,23 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
     """
     reach = reachable_masks(spec, rule)
     land = _landing_masks(spec, rule)
-    n1 = spec.n1
-    counts: dict[NodeClass, int] = {}
-    classes: dict[Vertex, NodeClass] = {}
-    arb: list[Vertex] = []
-    nzn: list[Vertex] = []
-    unland: list[Vertex] = []
+    codes = np.full(reach.shape, -1, dtype=np.int8)
     for j in range(spec.n2):
-        row = reach[j]
-        if not row.any():
+        if not reach[j].any():
             continue
         up, dn, fl = _successor_flags(spec, rule, j)
-        for i in np.flatnonzero(row):
-            v = (int(i) - n1, j)
-            cls = _class_from_flags(bool(up[i]), bool(dn[i]), bool(fl[i]))
-            classes[v] = cls
-            counts[cls] = counts.get(cls, 0) + 1
-            if cls in (NodeClass.POSITIVE_ARBITRAGE, NodeClass.NEGATIVE_ARBITRAGE):
-                arb.append(v)
-            elif cls is NodeClass.NOT_ZERO_NEUTRAL:
-                nzn.append(v)
-            if not land[j, i]:
-                unland.append(v)
+        # Same priority as _class_from_flags.
+        cls = np.select([up & dn, up & fl, dn & fl, fl],
+                        [_UP_DOWN, _POS_ARB, _NEG_ARB, _FLAT], _NZN)
+        codes[j] = np.where(reach[j], cls, -1)
+    classified = codes >= 0
+    tally = np.bincount(codes[classified], minlength=len(_CLASSES))
     return ValidationReport(
         spec=spec,
         rule_kind=rule.kind,
-        counts=counts,
-        classes=classes,
-        arbitrage_vertices=tuple(arb),
-        not_zero_neutral=tuple(nzn),
-        unlandable=tuple(unland),
+        counts={cls: int(n) for cls, n in zip(_CLASSES, tally) if n},
+        codes=codes,
+        arbitrage_vertices=_vertex_list(spec, (codes == _POS_ARB) | (codes == _NEG_ARB)),
+        not_zero_neutral=_vertex_list(spec, codes == _NZN),
+        unlandable=_vertex_list(spec, classified & ~land),
     )

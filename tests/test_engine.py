@@ -310,6 +310,20 @@ class TestComputeBounds:
             assert hs == hc
 
 
+    @pytest.mark.parametrize("make_payoff", [
+        lambda spec: Payoff.from_table({spec.price(k): math.nan if k == 0 else 0.0
+                                        for k in range(-4, 5)}),
+        lambda spec: Payoff.from_table({spec.price(k): math.inf if k == 2 else 0.0
+                                        for k in range(-4, 5)}),
+        lambda spec: Payoff.call(math.nan),
+    ], ids=["nan_table", "inf_table", "nan_strike"])
+    def test_non_finite_payoff_rejected(self, make_payoff):
+        rule = bjn_rule()
+        spec = unit_spec(rule, 4, 4)
+        with pytest.raises(ValueError, match="price level k="):
+            price(spec, rule, make_payoff(spec))
+
+
 class TestInjectArbitrage:
     def test_fraction_zero_identity_prices(self):
         base = bjn_rule()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from trajbounds.engine import price
+from trajbounds.grid import Payoff
 from trajbounds.model import (
     GridSpec,
     MARule,
@@ -13,6 +15,7 @@ from trajbounds.model import (
     reachable,
     reachable_masks,
     spec_for_rule,
+    spec_from_total_variance,
     validate_model,
 )
 
@@ -257,6 +260,75 @@ class TestValidate:
         assert all((k - j) % 2 == 0 for k, j in report.classes)
 
 
+def bfs_reachable(spec, rule):
+    """Vertices reachable from (0, 0), one admissible move at a time."""
+    seen = {(0, 0)}
+    todo = [(0, 0)]
+    while todo:
+        for w in reachable(spec, rule, todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def landable(spec, rule):
+    """Per vertex: on a lam column, or some admissible move reaches a landable vertex."""
+    land = {}
+    for j in range(spec.n2, -1, -1):
+        w = spec.column_half_width(j)
+        for k in range(-w, w + 1):
+            land[(k, j)] = j in spec.lam or any(
+                land[s] for s in reachable(spec, rule, (k, j)))
+    return land
+
+
+VECTOR_CASES = {
+    "bjn": (bjn_rule(), 10, 10, None, True),
+    "ma2": (MARule(2), 10, 10, None, True),
+    "ma3": (MARule(3), 12, 12, None, True),
+    "ma2_flat": (MARule(2, allow_flat=True), 10, 10, None, True),
+    "ma3_flat": (MARule(3, allow_flat=True), 12, 12, None, True),
+    "mb3_a2": (MBRule(p_max=3, A=2), 12, 12, None, True),
+    "injected_ma3": (ModifiedRule(base=MARule(3), fraction=0.1, seed=1), 12, 12, None, True),
+    "injected_bjn": (ModifiedRule(base=bjn_rule(), fraction=0.3, seed=3), 10, 10, None, True),
+    "injected_seed7": (ModifiedRule(base=MARule(3), fraction=0.3, seed=7), 14, 14, None, False),
+    "narrow_ma3": (MARule(3), 5, 10, None, False),
+    "narrow_ma3_flat": (MARule(3, allow_flat=True), 5, 10, None, True),
+    "inner_lam_ma2": (MARule(2), 12, 12, (4, 9, 12), True),
+    "inner_lam_mb3_a2": (MBRule(p_max=3, A=2), 12, 12, (5, 12), True),
+    "inner_lam_injected": (ModifiedRule(base=MARule(2), fraction=0.3, seed=5), 10, 10,
+                           (3, 7, 10), True),
+    "double_step": (DoubleStepRule(), 9, 9, None, False),
+    "double_step_inner_lam": (DoubleStepRule(), 9, 9, (4, 9), False),
+}
+
+
+class TestVectorPasses:
+    """The whole-column passes against per-vertex definitions."""
+
+    @pytest.mark.parametrize("case", list(VECTOR_CASES))
+    def test_match_per_vertex_definitions(self, case):
+        rule, n1, n2, lam, ok = VECTOR_CASES[case]
+        spec = make_spec(rule, n1, n2, lam)
+        live = bfs_reachable(spec, rule)
+        reach = reachable_masks(spec, rule)
+        assert {(int(i) - n1, int(j)) for j, i in zip(*np.nonzero(reach))} == live
+
+        report = validate_model(spec, rule)
+        inner = sorted((v for v in live if v[1] < n2), key=lambda v: (v[1], v[0]))
+        expected = {v: classify_node(spec, rule, v) for v in inner}
+        assert report.classes == expected
+        arb = (NodeClass.POSITIVE_ARBITRAGE, NodeClass.NEGATIVE_ARBITRAGE)
+        assert report.arbitrage_vertices == tuple(v for v in inner if expected[v] in arb)
+        assert report.not_zero_neutral == tuple(
+            v for v in inner if expected[v] is NodeClass.NOT_ZERO_NEUTRAL)
+
+        land = landable(spec, rule)
+        assert report.unlandable == tuple(v for v in inner if not land[v])
+        assert report.ok is ok
+
+
 class TestModifiedSelection:
     def test_fraction_zero_is_identity(self):
         base = bjn_rule()
@@ -283,3 +355,14 @@ class TestModifiedSelection:
         assert a == b
         assert len(a) == round(0.3 * pool)
         assert all(j < spec.n2 for _, j in a)
+
+    def test_selection_cached_per_grid_shape(self):
+        # The selection reads only (n1, n2, p), so an s0 scan computes it once.
+        rule = ModifiedRule(base=MARule(3), fraction=0.1, seed=1)
+        sels = []
+        for s0 in (0.9, 1.0, 1.1):
+            spec = spec_from_total_variance(rule, s0, 0.0067, 60)
+            price(spec, rule, Payoff.call(1.0))
+            sels.append(rule.selection(spec))
+        assert len(rule._cache) == 2
+        assert sels[0] == sels[1] == sels[2]
