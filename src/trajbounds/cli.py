@@ -306,10 +306,11 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
         (hedge.LONG, lo - float(cfg.get("eps_long_lo", 0.01))),
         (hedge.LONG, lo + float(cfg.get("eps_long_hi", 0.03))),
     ]
+    # A trajectory depends only on (rule, grid, seed): sample once, replay per run.
+    trajs = [hedge.sample_trajectory(rule, grid, seed=seed + t) for t in range(n_paths)]
     rows = []
     for side, x0 in runs:
-        for t in range(n_paths):
-            traj = hedge.sample_trajectory(rule, grid, seed=seed + t)
+        for t, traj in enumerate(trajs):
             ledger = hedge.simulate_pnl(bounds, traj, side, x0)
             rows.append([t, x0, side, ledger.final, ledger.payoff, ledger.excess])
     header = ["trajectory_id", "X", "side", "final", "payoff", "excess"]

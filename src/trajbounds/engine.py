@@ -209,8 +209,9 @@ def _terminal_row(grid: Grid, payoff) -> np.ndarray:
     w = spec.column_half_width(spec.n2)
     for k in range(-w, w + 1):
         z = payoff.value_at(grid.price(k))
-        # Inner liquidation rows read a subset of these price levels.
-        if not math.isfinite(z):
+        # Inner liquidation rows read a subset of these price levels, and sweep
+        # values are convex combinations of them, so no value reaches the sentinels.
+        if not math.isfinite(z) or abs(z) >= -_INVALID:
             raise ValueError(f"payoff is {z!r} at price level k={k} (s_k={grid.price(k)!r})")
         row[k + spec.n1] = z
     return row

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -195,14 +195,19 @@ class BoundsGrid:
 
     def to_csv(self, path) -> None:
         spec = self.grid.spec
+        n1 = spec.n1
+        prices = self.grid.prices.tolist()
         with open(path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["k", "j", "s_k", "upper", "lower", "slope_up", "slope_dn",
                         "provenance"])
-            for k, j in self.grid.vertices():
-                i = k + spec.n1
-                vals = [self.upper[j, i], self.lower[j, i],
-                        self.slope_up[j, i], self.slope_dn[j, i]]
-                cells = ["" if math.isnan(v) else repr(float(v)) for v in vals]
-                w.writerow([k, j, repr(self.grid.price(k))] + cells
-                           + [_PROV_NAMES[int(self.prov[j, i])]])
+            # One column at a time, as Python floats: the same bytes as a
+            # per-vertex repr(float(v)), with "" for NaN.
+            for j in range(spec.n2 + 1):
+                hw = spec.column_half_width(j)
+                col = slice(n1 - hw, n1 + hw + 1)
+                cells = [["" if v != v else repr(v) for v in a[j, col].tolist()]
+                         for a in (self.upper, self.lower, self.slope_up, self.slope_dn)]
+                names = [_PROV_NAMES[c] for c in self.prov[j, col].tolist()]
+                w.writerows(zip(range(-hw, hw + 1), repeat(j), map(repr, prices[col]),
+                                *cells, names))

@@ -413,12 +413,17 @@ def reachable(spec: GridSpec, rule: TransitionRule, v: Vertex) -> list[Vertex]:
     if not spec.in_grid(k, j):
         raise ValueError(f"vertex {v} is not in the grid")
     out: list[Vertex] = []
-    for dk, lo, hi in rule.bands_at(spec, k, j):
-        for dj in range(lo, min(hi, spec.n2 - j) + 1):
-            kk, jj = k + dk, j + dj
-            if abs(kk) <= spec.column_half_width(jj):
-                out.append((kk, jj))
-    out.sort(key=lambda w: (w[1], w[0]))
+    # Built in (j, k) order: callers index into it with a seeded draw.
+    bands = sorted(rule.bands_at(spec, k, j))
+    if not bands:
+        return out
+    _, los, his = zip(*bands)
+    for dj in range(min(los), min(max(his), spec.n2 - j) + 1):
+        jj = j + dj
+        w = spec.column_half_width(jj)
+        for dk, lo, hi in bands:
+            if lo <= dj <= hi and abs(k + dk) <= w:
+                out.append((k + dk, jj))
     return out
 
 

@@ -2,8 +2,10 @@ import csv
 
 import pytest
 
-from trajbounds import charts
-from trajbounds.cli import ConfigError, ExperimentConfig, main
+from trajbounds import charts, engine, hedge
+from trajbounds.cli import (ConfigError, ExperimentConfig, build_payoff, build_rule,
+                            build_spec, cmd_hedge_sim, main)
+from trajbounds.grid import build_grid
 
 
 def write_cfg(path, text):
@@ -144,6 +146,29 @@ class TestCommands:
         for r in rows:
             if r["side"] == "SHORT" and float(r["X"]) == xs[1]:  # upper + 0.01
                 assert float(r["excess"]) >= -1e-9
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_hedge_sim_replays_each_trajectory(self, seed):
+        # Rows equal those of sampling every trajectory afresh for each
+        # (side, X) run: sample_trajectory depends on (rule, grid, seed) only.
+        cfg = ExperimentConfig({"model": "ma", "p": 3, "N2": 24, "v0": 0.0067, "K": 1.0,
+                                "Lambda": (10, 24), "n_paths": 15, "seed": seed})
+        _, rows, _ = cmd_hedge_sim(cfg)
+        rule = build_rule(cfg)
+        grid = build_grid(build_spec(cfg, rule))
+        bounds = engine.compute_bounds(grid, rule, build_payoff(cfg))
+        lo, hi = bounds.price_interval()
+        expected = []
+        for side, x0 in [(hedge.SHORT, hi + 0.01), (hedge.SHORT, hi - 0.03),
+                         (hedge.LONG, lo - 0.01), (hedge.LONG, lo + 0.03)]:
+            for t in range(15):
+                traj = hedge.sample_trajectory(rule, grid, seed=seed + t)
+                ledger = hedge.simulate_pnl(bounds, traj, side, x0)
+                expected.append([t, x0, side, ledger.final, ledger.payoff, ledger.excess])
+        assert rows == expected
+        # The inner liquidation column is exercised: some paths stop on it.
+        assert any(hedge.sample_trajectory(rule, grid, seed=seed + t).terminal[1] == 10
+                   for t in range(15))
 
     def test_vol_scan_convex_upper_equality(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg",

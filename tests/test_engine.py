@@ -323,6 +323,16 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match="price level k="):
             price(spec, rule, make_payoff(spec))
 
+    @pytest.mark.parametrize("value", [6e299, -6e299, 1e260])
+    def test_sentinel_sized_payoff_rejected(self, value):
+        # Values this large would be read as the engine's "uncomputed"
+        # sentinels: 6e299 gave a NaN bound, 1e260 gave lower > upper.
+        rule = bjn_rule()
+        spec = unit_spec(rule, 4, 4)
+        z = Payoff.from_table({spec.price(k): value if k == 0 else 0.0 for k in range(-4, 5)})
+        with pytest.raises(ValueError, match="price level k=0"):
+            price(spec, rule, z)
+
 
 class TestInjectArbitrage:
     def test_fraction_zero_identity_prices(self):

@@ -5,7 +5,7 @@ import pytest
 
 from trajbounds.engine import compute_bounds
 from trajbounds.grid import Payoff, build_grid, payoff_eval
-from trajbounds.model import GridSpec, MARule, bjn_rule, spec_for_rule
+from trajbounds.model import GridSpec, MARule, ModifiedRule, bjn_rule, spec_for_rule
 
 
 def unit_spec(p, n1, n2, lam=None, s0=1.0, step=0.01):
@@ -106,3 +106,32 @@ class TestBoundsCsv:
         # One-sided unreachable corner (only down moves remain): left uncomputed.
         assert by_vertex[(4, 2)]["upper"] == ""
         assert by_vertex[(4, 2)]["provenance"] == ""
+
+    @pytest.mark.parametrize("rule, n1, n2, lam, payoff, marker", [
+        # Injected arbitrage leaves unreachable NaN vertices.
+        (ModifiedRule(base=MARule(3), fraction=0.3, seed=1), 12, 12, None, Payoff.call(1.0),
+         b",,,,,\n"),
+        # An inner liquidation column gives Q_MAX provenance.
+        (MARule(3), 15, 15, (6, 15), Payoff.butterfly(0.95, 1.05), b",Q_MAX\n"),
+        # n1 < p * n2: the half-widths saturate at n1.
+        (MARule(3, allow_flat=True), 5, 10, (4, 10), Payoff.put(1.0), b"\n-5,10,"),
+    ], ids=["injected", "inner_lam", "narrow"])
+    def test_bytes_match_per_vertex_writer(self, tmp_path, rule, n1, n2, lam, payoff, marker):
+        spec = spec_for_rule(rule, 1.0, 0.02, 0.02, n1, n2, lam=lam)
+        grid = build_grid(spec)
+        bounds = compute_bounds(grid, rule, payoff)
+        bounds.to_csv(tmp_path / "by_column.csv")
+        ref = tmp_path / "per_vertex.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["k", "j", "s_k", "upper", "lower", "slope_up", "slope_dn",
+                        "provenance"])
+            for k, j in grid.vertices():
+                vals = [bounds.upper_at(k, j), bounds.lower_at(k, j),
+                        bounds.slope_up_at(k, j), bounds.slope_dn_at(k, j)]
+                w.writerow([k, j, repr(grid.price(k))]
+                           + ["" if math.isnan(v) else repr(v) for v in vals]
+                           + [bounds.provenance_at(k, j)])
+        got = (tmp_path / "by_column.csv").read_bytes()
+        assert got == ref.read_bytes()
+        assert marker in got

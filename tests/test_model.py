@@ -209,6 +209,23 @@ class DoubleStepRule(TransitionRule):
         return ((-1, 2, 2), (1, 2, 2))
 
 
+class OverlapRule(TransitionRule):
+    """Test-only rule: bands out of dk order, two of them overlapping in dk = 1."""
+
+    kind = "OVERLAP"
+
+    @property
+    def p(self):
+        return 1
+
+    @property
+    def max_dj(self):
+        return 3
+
+    def bands(self):
+        return ((1, 2, 3), (-1, 1, 3), (1, 1, 1), (1, 1, 2))
+
+
 class TestValidate:
     def test_unit_jump_all_up_down(self):
         rule = MARule(1)
@@ -302,6 +319,37 @@ VECTOR_CASES = {
     "double_step": (DoubleStepRule(), 9, 9, None, False),
     "double_step_inner_lam": (DoubleStepRule(), 9, 9, (4, 9), False),
 }
+
+
+def reachable_reference(spec, rule, v):
+    """Every (dk, dj) of every band, kept when in the grid, sorted by (j, k)."""
+    k, j = v
+    out = [(k + dk, j + dj) for dk, lo, hi in rule.bands_at(spec, k, j)
+           for dj in range(lo, hi + 1) if spec.in_grid(k + dk, j + dj)]
+    return sorted(out, key=lambda w: (w[1], w[0]))
+
+
+REACHABLE_CASES = {**{name: case[:4] for name, case in VECTOR_CASES.items()},
+                   "overlap": (OverlapRule(), 8, 8, None)}
+
+
+class TestReachableDefinition:
+    """``reachable``'s list, order and duplicates included, is its definition."""
+
+    @pytest.mark.parametrize("case", list(REACHABLE_CASES))
+    def test_matches_reference_at_every_vertex(self, case):
+        rule, n1, n2, lam = REACHABLE_CASES[case]
+        spec = make_spec(rule, n1, n2, lam)
+        for j in range(n2):
+            w = spec.column_half_width(j)
+            for k in range(-w, w + 1):
+                assert reachable(spec, rule, (k, j)) == reachable_reference(spec, rule, (k, j))
+
+    def test_overlapping_unsorted_bands_keep_duplicates(self):
+        rule = OverlapRule()
+        spec = make_spec(rule, 8, 8)
+        assert reachable(spec, rule, (0, 0)) == [(-1, 1), (1, 1), (1, 1), (-1, 2), (1, 2),
+                                                 (1, 2), (-1, 3), (1, 3)]
 
 
 class TestVectorPasses:
