@@ -12,7 +12,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -55,8 +54,7 @@ def _float_list(s: str) -> tuple[float, ...]:
 _KEY_TYPES: dict[str, Callable[[str], object]] = {
     "model": str, "payoff": str,
     "p": int, "A": int, "N1": int, "N2": int, "q": int, "seed": int,
-    "n_paths": int, "workers": int, "vol_steps": int, "vol_unit": int,
-    "vol_ref_steps": int,
+    "n_paths": int, "vol_steps": int, "vol_unit": int, "vol_ref_steps": int,
     "delta": float, "beta": float, "v0": float, "s0": float,
     "K": float, "K1": float, "K2": float, "sigma": float, "T": float,
     "p_eta": float,
@@ -189,18 +187,6 @@ def _bs_price(cfg: ExperimentConfig, s0: float):
     return None
 
 
-def _price_task(args):
-    spec, rule, payoff = args
-    return engine.price(spec, rule, payoff)
-
-
-def _pmap(tasks: Sequence, workers: int):
-    if workers <= 1:
-        return [_price_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_price_task, tasks))
-
-
 # --------------------------------------------------------------------------- #
 # Commands: each returns (header, rows, chart-or-None)
 # --------------------------------------------------------------------------- #
@@ -225,7 +211,6 @@ def cmd_converge(cfg: ExperimentConfig):
     p_list = cfg.get("p_list", (2, 3, 5))
     n2_list = cfg.get("N2_list", tuple(range(20, 201, 20)))
     payoff_kind = str(cfg.get("payoff", "call"))
-    workers = int(cfg.get("workers", 1))
     tasks, meta = [], []
     for p in p_list:
         rule = build_rule(cfg, p=p)
@@ -233,7 +218,7 @@ def cmd_converge(cfg: ExperimentConfig):
             spec = build_spec(cfg, rule, n2=n2)
             tasks.append((spec, rule, build_payoff(cfg, payoff_kind)))
             meta.append((rule.kind, p, n2, spec.s0))
-    results = _pmap(tasks, workers)
+    results = [engine.price(*t) for t in tasks]
     rows = []
     for (kind, p, n2, s0), (lo, hi) in zip(meta, results):
         bs = _bs_price(cfg, s0)
@@ -249,11 +234,10 @@ def cmd_merton_scan(cfg: ExperimentConfig):
     n2 = int(cfg.get("N2", 100))
     strike = float(cfg.get("K", 1.0))
     payoff_kind = str(cfg.get("payoff", "call"))
-    workers = int(cfg.get("workers", 1))
     rule = build_rule(cfg)
     tasks = [(build_spec(cfg, rule, n2=n2, s0=s0), rule, build_payoff(cfg, payoff_kind))
              for s0 in s0_list]
-    results = _pmap(tasks, workers)
+    results = [engine.price(*t) for t in tasks]
     rows = []
     for s0, (lo, hi) in zip(s0_list, results):
         mlb, mub = oracle.merton_envelope(payoff_kind.upper(), s0, strike)
@@ -271,7 +255,6 @@ def cmd_arbitrage_scan(cfg: ExperimentConfig):
     n2 = int(cfg.get("N2", 100))
     strike = float(cfg.get("K", 1.0))
     seed = int(cfg.get("seed", 0))
-    workers = int(cfg.get("workers", 1))
     base = build_rule(cfg)
     tasks, meta = [], []
     for frac in fractions:
@@ -280,7 +263,7 @@ def cmd_arbitrage_scan(cfg: ExperimentConfig):
             spec = build_spec(cfg, rule, n2=n2, s0=s0)
             tasks.append((spec, rule, build_payoff(cfg)))
             meta.append((frac, s0))
-    results = _pmap(tasks, workers)
+    results = [engine.price(*t) for t in tasks]
     rows = [[frac, s0, lo, hi, oracle.merton_envelope("CALL", s0, strike)[0]]
             for (frac, s0), (lo, hi) in zip(meta, results)]
     header = ["fraction", "s0", "lower", "upper", "merton_lb"]
@@ -294,11 +277,13 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
     rule = build_rule(cfg)
     spec = build_spec(cfg, rule)
     payoff = build_payoff(cfg)
+    n_paths = int(cfg.get("n_paths", 200))
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
     validate_model(spec, rule).raise_if_failed()
     grid = build_grid(spec)
     bounds = engine.compute_bounds(grid, rule, payoff)
     lo, hi = bounds.price_interval()
-    n_paths = int(cfg.get("n_paths", 200))
     seed = int(cfg.get("seed", 0))
     runs = [
         (hedge.SHORT, hi + float(cfg.get("eps_short_hi", 0.01))),
@@ -326,7 +311,6 @@ def cmd_vol_scan(cfg: ExperimentConfig):
     unit = int(cfg.get("vol_unit", 25))
     steps = int(cfg.get("vol_steps", 8))
     s0 = float(cfg.get("s0", 1.0))
-    workers = int(cfg.get("workers", 1))
     d0 = math.sqrt(v0 / ref_steps)
     if "model" not in cfg.values:
         rule = MBRule(p_max=3, A=2)
@@ -343,7 +327,7 @@ def cmd_vol_scan(cfg: ExperimentConfig):
             for kind, z in payoffs:
                 tasks.append((spec, rule, z))
                 meta.append((j, n2 * d0 * d0, mode, kind))
-    results = _pmap(tasks, workers)
+    results = [engine.price(*t) for t in tasks]
     rows = [[j, vj, mode, kind, lo, hi]
             for (j, vj, mode, kind), (lo, hi) in zip(meta, results)]
     header = ["j", "v_j", "mode", "payoff", "lower", "upper"]

@@ -5,7 +5,7 @@ vertical line ``x = s_k`` over all chords joining one successor with price
 above ``s_k`` to one with price at or below it.  The recorded hedge slope is
 the support slope of that value nearest zero, so it superhedges every
 successor by construction.  Lower bounds reuse the identical sweep on the
-negated payoff.
+negated terminal payoff row.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import (
     Vertex,
     reachable,
     reachable_masks,
+    shift_row,
     validate_model,
 )
 
@@ -54,10 +55,6 @@ class LocalSolution:
     slope: float
     plus: Optional[HullPoint]
     minus: Optional[HullPoint]
-
-    @property
-    def witnesses(self) -> tuple[Optional[HullPoint], Optional[HullPoint]]:
-        return self.plus, self.minus
 
 
 def _as_points(points: Iterable) -> list[HullPoint]:
@@ -204,8 +201,9 @@ def hull_fast(points_plus, points_minus, s_k: float) -> LocalSolution:
 # --------------------------------------------------------------------------- #
 
 def _terminal_row(grid: Grid, payoff) -> np.ndarray:
+    """Payoff at every price level of the terminal column, NaN off its cone."""
     spec = grid.spec
-    row = np.full(spec.width, -_BIG)
+    row = np.full(spec.width, np.nan)
     w = spec.column_half_width(spec.n2)
     for k in range(-w, w + 1):
         z = payoff.value_at(grid.price(k))
@@ -217,16 +215,7 @@ def _terminal_row(grid: Grid, payoff) -> np.ndarray:
     return row
 
 
-def _payoff_row(grid: Grid, payoff, j: int) -> np.ndarray:
-    spec = grid.spec
-    row = np.full(spec.width, np.nan)
-    w = spec.column_half_width(j)
-    for k in range(-w, w + 1):
-        row[k + spec.n1] = payoff.value_at(grid.price(k))
-    return row
-
-
-def _resolve_vertex(grid, rule, payoff, U, k: int, j: int, in_lam: bool,
+def _resolve_vertex(grid, rule, Z, U, k: int, j: int, in_lam: bool,
                     is_reachable: bool):
     """Per-vertex pricing fallback; None means the vertex stays uncomputed."""
     spec = grid.spec
@@ -237,7 +226,7 @@ def _resolve_vertex(grid, rule, payoff, U, k: int, j: int, in_lam: bool,
         if in_lam:
             # Forced liquidation: the trajectory has nowhere to go but sits on
             # an admissible variation level.
-            return payoff.value_at(grid.price(k)), 0.0, True
+            return Z[k + spec.n1], 0.0, True
         raise NotZeroNeutralError((k, j))
     s = grid.price(k)
     pts = [HullPoint(grid.price(kk), float(U[jj, kk + spec.n1]), (kk, jj)) for kk, jj in succ]
@@ -252,25 +241,25 @@ def _resolve_vertex(grid, rule, payoff, U, k: int, j: int, in_lam: bool,
     return sol.value, sol.slope, False
 
 
-def _sweep_banded(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
-    """Vectorized descending-j sweep.  Returns (U, slope, prov) full-width arrays."""
+def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.ndarray):
+    """Vectorized descending-j sweep from terminal row ``Z``; full-width (U, slope, prov)."""
     spec = grid.spec
     n1, n2, W = spec.n1, spec.n2, spec.width
     delta = spec.delta
     lam = set(spec.lam)
     prices = grid.prices
 
-    U = np.full((n2 + 1, W), np.nan)
+    # Off-grid entries hold the sentinel so window maxima ignore them, while
+    # NaN (uncomputed, in grid) propagates through later window maxima.
+    U = np.full((n2 + 1, W), -_BIG)
     slope = np.full((n2 + 1, W), np.nan)
     prov = np.zeros((n2 + 1, W), dtype=np.int8)
 
-    # Work array with sentinel fill so window maxima ignore off-grid entries.
-    V = np.full((n2 + 1, W), -_BIG)
-    V[n2] = _terminal_row(grid, payoff)
-    wmask_term = V[n2] > -_BIG / 2
-    U[n2, wmask_term] = V[n2, wmask_term]
-    slope[n2, wmask_term] = 0.0
-    prov[n2, wmask_term] = PROV_TERMINAL_PAYOFF
+    wterm = spec.column_half_width(n2)
+    term = slice(n1 - wterm, n1 + wterm + 1)
+    U[n2, term] = Z[term]
+    slope[n2, term] = 0.0
+    prov[n2, term] = PROV_TERMINAL_PAYOFF
 
     pmax = max(spec.p, rule.p)
     em1 = {dk: math.expm1(dk * delta) for dk in range(-pmax, pmax + 1)}
@@ -287,13 +276,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
                 bhi = min(bhi, n2 - j)
                 if blo > bhi:
                     continue
-                window_max = V[j + blo: j + bhi + 1].max(axis=0)
-                y = np.full(W, -_BIG)
-                if dk >= 0:
-                    y[: W - dk] = window_max[dk:]
-                else:
-                    y[-dk:] = window_max[: W + dk]
-                ys[dk] = y
+                ys[dk] = shift_row(U[j + blo: j + bhi + 1].max(axis=0), dk, -_BIG)
             gC = np.full(W, -_BIG)
             for a in (d for d in ys if d >= 0):
                 ea = em1[a]
@@ -328,7 +311,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
 
         for i in np.flatnonzero(~ok & reach[j]):
             k = int(i) - n1
-            res = _resolve_vertex(grid, rule, payoff, U, k, j, in_lam, True)
+            res = _resolve_vertex(grid, rule, Z, U, k, j, in_lam, True)
             if res is None:
                 continue
             val, sl, forced_stop = res
@@ -336,7 +319,6 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
             Pj[i] = PROV_Q_MAX if forced_stop else PROV_CONTINUATION
 
         if in_lam:
-            Z = _payoff_row(grid, payoff, j)
             stop_wins = Z > Uj  # NaN-safe: comparisons with NaN are False
             Uj = np.where(stop_wins, Z, Uj)
             Pj = np.where(stop_wins, np.int8(PROV_Q_MAX), Pj)
@@ -344,14 +326,12 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
         U[j, col] = Uj[col]
         slope[j, col] = Sj[col]
         prov[j, col] = Pj[col]
-        # NaN (uncomputed, in grid) must propagate through later window maxima,
-        # while off-grid entries stay at the sentinel and are ignored.
-        V[j, col] = U[j, col]
 
+    U[np.abs(np.arange(-n1, n1 + 1)) > grid.half_widths[:, None]] = np.nan
     return U, slope, prov
 
 
-def _sweep_generic(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
+def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.ndarray):
     """Reference per-vertex sweep with identical semantics to the banded one."""
     spec = grid.spec
     n1, n2, W = spec.n1, spec.n2, spec.width
@@ -361,22 +341,20 @@ def _sweep_generic(grid: Grid, rule: TransitionRule, payoff, reach: np.ndarray):
     prov = np.zeros((n2 + 1, W), dtype=np.int8)
     wterm = spec.column_half_width(n2)
     term = slice(n1 - wterm, n1 + wterm + 1)
-    U[n2, term] = _terminal_row(grid, payoff)[term]
+    U[n2, term] = Z[term]
     slope[n2, term] = 0.0
     prov[n2, term] = PROV_TERMINAL_PAYOFF
     for j in range(n2 - 1, -1, -1):
         in_lam = j in lam
         for k in grid.column_ks(j):
             i = k + n1
-            res = _resolve_vertex(grid, rule, payoff, U, k, j, in_lam, bool(reach[j, i]))
+            res = _resolve_vertex(grid, rule, Z, U, k, j, in_lam, bool(reach[j, i]))
             if res is None:
                 continue
             val, sl, forced_stop = res
             pv = PROV_Q_MAX if forced_stop else PROV_CONTINUATION
-            if in_lam and not forced_stop:
-                z = payoff.value_at(grid.price(k))
-                if z > val:
-                    val, pv = z, PROV_Q_MAX
+            if in_lam and not forced_stop and Z[i] > val:
+                val, pv = Z[i], PROV_Q_MAX
             U[j, i], slope[j, i], prov[j, i] = val, sl, pv
     return U, slope, prov
 
@@ -385,26 +363,27 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
     """Fill upper/lower bounds and hedge slopes over the whole grid.
 
     ``method='banded'`` runs the vectorized sweep (rules must expose band
-    groups); ``'generic'`` runs the per-vertex reference sweep.  The lower
-    bound is the negated upper bound of the negated payoff, computed by the
-    same code path; since the upper sweep takes max(payoff, continuation) on
-    intermediate liquidation columns, the lower bound takes
-    min(payoff, continuation) there.
+    groups); ``'generic'`` runs the per-vertex reference sweep.  The payoff
+    is read once, as the terminal row; the lower bound is the negated upper
+    bound of the negated row, computed by the same code path.  Since the
+    upper sweep takes max(payoff, continuation) on intermediate liquidation
+    columns, the lower bound takes min(payoff, continuation) there.
     """
     sweep = _sweep_banded if method == "banded" else _sweep_generic
     reach = reachable_masks(grid.spec, rule)
-    upper, slope_up, prov = sweep(grid, rule, payoff, reach)
-    neg_upper, slope_dn, _ = sweep(grid, rule, payoff.negated(), reach)
-    lower = -neg_upper
+    Z = _terminal_row(grid, payoff)
+    upper, slope_up, prov = sweep(grid, rule, Z, reach)
+    lower, slope_dn, _ = sweep(grid, rule, -Z, reach)
+    np.negative(lower, out=lower)
     return BoundsGrid(grid, payoff, upper, lower, slope_up, slope_dn, prov)
 
 
-def price(spec: GridSpec, rule: TransitionRule, payoff, *, validate: bool = True,
-          method: str = "banded") -> tuple[float, float]:
+def price(spec: GridSpec, rule: TransitionRule, payoff, *,
+          validate: bool = True) -> tuple[float, float]:
     """(lower, upper) worst-case price interval at the root vertex (0, 0)."""
     if validate:
         validate_model(spec, rule).raise_if_failed()
-    bounds = compute_bounds(build_grid(spec), rule, payoff, method=method)
+    bounds = compute_bounds(build_grid(spec), rule, payoff)
     return bounds.price_interval()
 
 
@@ -426,28 +405,25 @@ def band_bounds(rule: BinomialBandRule, steps: int, s0: float, payoff) -> tuple[
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    upper = _band_sweep(rule, steps, s0, payoff)
-    lower = -_band_sweep(rule, steps, s0, payoff.negated())
-    return lower, upper
+    prices = _band_prices(rule, steps, s0)
+    values = np.array([payoff.value_at(x) for x in prices[steps]])
+    return -_band_sweep(rule, prices, -values), _band_sweep(rule, prices, values)
 
 
 def _band_prices(rule: BinomialBandRule, steps: int, s0: float) -> list[np.ndarray]:
     L = rule.levels
-    if L == 2:
-        rho = rule.u / rule.d
-    else:
-        rho = (rule.u / rule.d) ** (1.0 / (L - 1))
+    rho = (rule.u / rule.d) ** (1.0 / (L - 1))
     out = []
     for i in range(steps + 1):
         m = np.arange(i * (L - 1) + 1)
         out.append(s0 * rule.d ** i * rho ** m)
     return out
 
-def _band_sweep(rule: BinomialBandRule, steps: int, s0: float, payoff) -> float:
+
+def _band_sweep(rule: BinomialBandRule, prices: list[np.ndarray], values: np.ndarray) -> float:
+    """Root value of the band lattice from the terminal ``values``."""
     L = rule.levels
-    prices = _band_prices(rule, steps, s0)
-    values = np.array([payoff.value_at(x) for x in prices[steps]])
-    for i in range(steps - 1, -1, -1):
+    for i in range(len(prices) - 2, -1, -1):
         nxt = values
         cur = np.empty(i * (L - 1) + 1)
         for m in range(cur.shape[0]):

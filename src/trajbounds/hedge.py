@@ -142,36 +142,30 @@ def count_trajectories(rule: TransitionRule, grid: Grid) -> int:
     """Number of complete trajectories, counting each admissible stop once."""
     spec = grid.spec
     lam = set(spec.lam)
-    memo: dict[Vertex, int] = {}
-
-    def count(v: Vertex) -> int:
-        if v[1] == spec.n2:
-            return 1
-        got = memo.get(v)
-        if got is None:
-            got = (1 if v[1] in lam else 0) + sum(count(w) for w in reachable(spec, rule, v))
-            memo[v] = got
-        return got
-
-    return count((0, 0))
+    # Column by column from the last: a vertex counts its own stop plus the
+    # trajectories of its successors.
+    counts: dict[Vertex, int] = {(k, spec.n2): 1 for k in grid.column_ks(spec.n2)}
+    for j in range(spec.n2 - 1, -1, -1):
+        for k in grid.column_ks(j):
+            counts[(k, j)] = (1 if j in lam else 0) + sum(
+                counts[w] for w in reachable(spec, rule, (k, j)))
+    return counts[(0, 0)]
 
 
 def enumerate_trajectories(rule: TransitionRule, grid: Grid) -> Iterator[Trajectory]:
     """Yield every complete trajectory (stopped paths included), depth-first."""
     spec = grid.spec
     lam = set(spec.lam)
-
-    def walk(path: list[Vertex]) -> Iterator[tuple[Vertex, ...]]:
-        k, j = path[-1]
-        if j == spec.n2:
-            yield tuple(path)
-            return
-        if j in lam:
-            yield tuple(path)
-        for w in reachable(spec, rule, (k, j)):
-            path.append(w)
-            yield from walk(path)
-            path.pop()
-
-    for vs in walk([(0, 0)]):
-        yield _from_vertices(grid, vs)
+    path: list[Vertex] = []
+    # stack[i] iterates the successors of path[i - 1]; stack[0] yields the root.
+    stack = [iter([(0, 0)])]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            del path[-1:]
+            continue
+        path.append(v)
+        if v[1] in lam:
+            yield _from_vertices(grid, tuple(path))
+        stack.append(iter(reachable(spec, rule, v) if v[1] < spec.n2 else ()))

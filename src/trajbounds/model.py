@@ -89,6 +89,13 @@ class GridSpec:
             raise ValueError("last element of lam must equal n2")
         if self.n1 > self.p * self.n2:
             raise ValueError("need n1 <= p * n2, otherwise the top price rows are unreachable")
+        try:
+            top = self.price(self.n1)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(f"top price s0 * exp(n1 * delta) is not finite for "
+                             f"s0={self.s0!r}, delta={self.delta!r}, n1={self.n1}")
 
     @property
     def d(self) -> float:
@@ -150,8 +157,9 @@ def spec_from_total_variance(
 class TransitionRule:
     """Base for band-structured transition rules.
 
-    Subclasses must provide ``p`` (max |dk|), ``max_dj`` and either a uniform
-    ``_bands`` tuple or an override of :meth:`bands_at` / :meth:`band_groups`.
+    Subclasses must provide ``p`` (max |dk|), ``max_dj`` and either
+    vertex-independent :meth:`bands` or an override of :meth:`bands_at` /
+    :meth:`band_groups`.
     """
 
     kind: str = "?"
@@ -165,12 +173,8 @@ class TransitionRule:
         raise NotImplementedError
 
     def bands(self) -> tuple[Band, ...]:
-        """Vertex-independent bands; only valid when ``uniform`` is True."""
+        """Bands shared by every vertex, for rules that do not vary by vertex."""
         raise NotImplementedError
-
-    @property
-    def uniform(self) -> bool:
-        return True
 
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
         return self.bands()
@@ -181,8 +185,8 @@ class TransitionRule:
         """Partition of the column's vertices into groups sharing one band set.
 
         Returns (mask, bands) pairs where ``mask`` is a boolean row over the
-        full width (None means "all vertices").  Uniform rules return a single
-        group.
+        full width (None means "all vertices").  Rules whose bands do not vary
+        by vertex return a single group.
         """
         return [(None, self.bands())]
 
@@ -345,10 +349,6 @@ class ModifiedRule(TransitionRule):
     @property
     def max_dj(self) -> int:
         return max(self.base.max_dj, self.p ** 2)
-
-    @property
-    def uniform(self) -> bool:
-        return False
 
     def _mod_bands(self, k: int) -> tuple[Band, ...]:
         hi = self.p ** 2

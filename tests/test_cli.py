@@ -70,6 +70,20 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "validation failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = -5\n"),
+        ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = 0\n"),
+        ("price", "model = bjn\nN2 = 710\ndelta = 1\n"),
+        ("price", "model = bjn\nN2 = 200\ndelta = 0.1\ns0 = 1e300\n"),
+        ("merton-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nworkers = 2\n"),
+    ], ids=["n_paths_negative", "n_paths_zero", "exp_overflow", "s0_overflow", "workers"])
+    def test_config_error_exit(self, tmp_path, capsys, command, text):
+        cfg = write_cfg(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_price_success(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "a.cfg", BASE_CFG)
         assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 0

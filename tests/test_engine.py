@@ -333,6 +333,28 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match="price level k=0"):
             price(spec, rule, z)
 
+    @pytest.mark.parametrize("method", ["banded", "generic"])
+    def test_payoff_read_once_as_terminal_row(self, method):
+        # Both sweeps and every inner liquidation column read the one terminal
+        # row: 2 * w(n2) + 1 payoff evaluations per compute_bounds.
+        class CountingPayoff:
+            def __init__(self):
+                self.calls = 0
+
+            def value_at(self, s):
+                self.calls += 1
+                return CALL.value_at(s)
+
+        rule = MARule(2)
+        spec = unit_spec(rule, 8, 8, lam=(3, 6, 8))
+        grid = build_grid(spec)
+        z = CountingPayoff()
+        b = compute_bounds(grid, rule, z, method=method)
+        assert z.calls == 2 * spec.column_half_width(spec.n2) + 1
+        ref = compute_bounds(grid, rule, CALL, method=method)
+        for name in ("upper", "lower", "slope_up", "slope_dn", "prov"):
+            assert np.array_equal(getattr(b, name), getattr(ref, name), equal_nan=True)
+
 
 class TestInjectArbitrage:
     def test_fraction_zero_identity_prices(self):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from trajbounds.engine import compute_bounds, price
+from trajbounds.engine import compute_bounds, inject_arbitrage, price
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.hedge import (
     LONG,
@@ -15,7 +15,13 @@ from trajbounds.hedge import (
     sample_trajectory,
     simulate_pnl,
 )
-from trajbounds.model import MARule, bjn_rule, spec_for_rule, spec_from_total_variance
+from trajbounds.model import (
+    MARule,
+    bjn_rule,
+    reachable,
+    spec_for_rule,
+    spec_from_total_variance,
+)
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -190,3 +196,39 @@ class TestExhaustiveHedging:
                 payoff_eval(CALL, traj.terminal[0], spec) - 1e-9
             assert simulate_pnl(bounds, traj, LONG, lo).final <= \
                 payoff_eval(CALL, traj.terminal[0], spec) + 1e-9
+
+
+def walk_reference(rule, spec, path):
+    """The recursive depth-first enumeration the library's stack replaces."""
+    k, j = path[-1]
+    if j == spec.n2:
+        yield tuple(path)
+        return
+    if j in spec.lam:
+        yield tuple(path)
+    for w in reachable(spec, rule, (k, j)):
+        path.append(w)
+        yield from walk_reference(rule, spec, path)
+        path.pop()
+
+
+class TestIterativeEnumeration:
+    def test_long_grid_count(self):
+        # From k = 0 both moves are open, from k = +-1 only the way back:
+        # two choices every two columns.
+        rule = bjn_rule()
+        grid = build_grid(spec_for_rule(rule, 1.0, 0.05, 0.05, 1, 500))
+        assert count_trajectories(rule, grid) == 2 ** 250
+
+    @pytest.mark.parametrize("rule, n1, n2, lam", [
+        (bjn_rule(), 8, 8, None),
+        (MARule(2), 5, 6, (2, 5, 6)),
+        (inject_arbitrage(MARule(2), 0.3, seed=5), 5, 5, (3, 5)),
+    ], ids=["bjn", "ma2_inner_lam", "injected"])
+    def test_order_matches_recursive_reference(self, rule, n1, n2, lam):
+        spec = spec_for_rule(rule, 1.0, 0.05, 0.05, n1, n2, lam=lam)
+        grid = build_grid(spec)
+        got = [t.vertices for t in enumerate_trajectories(rule, grid)]
+        assert got == list(walk_reference(rule, spec, [(0, 0)]))
+        assert len(got) == count_trajectories(rule, grid)
+        assert len(got) > 20

@@ -48,6 +48,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1.0, -0.01, 0.01, 1, 1, 5, 5, lam=(5,))
 
+    @pytest.mark.parametrize("s0, delta, n1", [(1.0, 1.0, 710), (1e300, 0.1, 200)])
+    def test_rejects_overflowing_top_price(self, s0, delta, n1):
+        # exp(710) overflows; 1e300 * exp(20) is finite factors, infinite product.
+        with pytest.raises(ValueError, match=r"s0=.*delta=.*n1=") as e:
+            GridSpec(s0, delta, delta, p=1, q=1, n1=n1, n2=n1, lam=(n1,))
+        assert "not finite" in str(e.value)
+
 
 class TestReachable:
     def test_ma_p2_from_origin(self):
