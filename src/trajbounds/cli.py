@@ -22,6 +22,7 @@ from .model import (
     MARule,
     MBRule,
     ModelValidationError,
+    NodeClass,
     TransitionRule,
     bjn_rule,
     spec_for_rule,
@@ -211,18 +212,14 @@ def cmd_converge(cfg: ExperimentConfig):
     p_list = cfg.get("p_list", (2, 3, 5))
     n2_list = cfg.get("N2_list", tuple(range(20, 201, 20)))
     payoff_kind = str(cfg.get("payoff", "call"))
-    tasks, meta = [], []
+    rows = []
     for p in p_list:
         rule = build_rule(cfg, p=p)
         for n2 in n2_list:
             spec = build_spec(cfg, rule, n2=n2)
-            tasks.append((spec, rule, build_payoff(cfg, payoff_kind)))
-            meta.append((rule.kind, p, n2, spec.s0))
-    results = [engine.price(*t) for t in tasks]
-    rows = []
-    for (kind, p, n2, s0), (lo, hi) in zip(meta, results):
-        bs = _bs_price(cfg, s0)
-        rows.append([kind, p, n2, lo, hi, "" if bs is None else bs])
+            lo, hi = engine.price(spec, rule, build_payoff(cfg, payoff_kind))
+            bs = _bs_price(cfg, spec.s0)
+            rows.append([rule.kind, p, n2, lo, hi, "" if bs is None else bs])
     header = ["model", "p", "N2", "lower", "upper", "bs_price"]
     chart = charts.ChartSpec(x="N2", ys=("lower", "upper"), series=("p",),
                              title="price bounds vs N2", x_label="N2", y_label="price")
@@ -235,11 +232,10 @@ def cmd_merton_scan(cfg: ExperimentConfig):
     strike = float(cfg.get("K", 1.0))
     payoff_kind = str(cfg.get("payoff", "call"))
     rule = build_rule(cfg)
-    tasks = [(build_spec(cfg, rule, n2=n2, s0=s0), rule, build_payoff(cfg, payoff_kind))
-             for s0 in s0_list]
-    results = [engine.price(*t) for t in tasks]
     rows = []
-    for s0, (lo, hi) in zip(s0_list, results):
+    for s0 in s0_list:
+        spec = build_spec(cfg, rule, n2=n2, s0=s0)
+        lo, hi = engine.price(spec, rule, build_payoff(cfg, payoff_kind))
         mlb, mub = oracle.merton_envelope(payoff_kind.upper(), s0, strike)
         rows.append([s0, lo, hi, mlb, mub])
     header = ["s0", "lower", "upper", "merton_lb", "merton_ub"]
@@ -256,16 +252,13 @@ def cmd_arbitrage_scan(cfg: ExperimentConfig):
     strike = float(cfg.get("K", 1.0))
     seed = int(cfg.get("seed", 0))
     base = build_rule(cfg)
-    tasks, meta = [], []
+    rows = []
     for frac in fractions:
         rule = engine.inject_arbitrage(base, float(frac), seed) if frac > 0 else base
         for s0 in s0_list:
             spec = build_spec(cfg, rule, n2=n2, s0=s0)
-            tasks.append((spec, rule, build_payoff(cfg)))
-            meta.append((frac, s0))
-    results = [engine.price(*t) for t in tasks]
-    rows = [[frac, s0, lo, hi, oracle.merton_envelope("CALL", s0, strike)[0]]
-            for (frac, s0), (lo, hi) in zip(meta, results)]
+            lo, hi = engine.price(spec, rule, build_payoff(cfg))
+            rows.append([frac, s0, lo, hi, oracle.merton_envelope("CALL", s0, strike)[0]])
     header = ["fraction", "s0", "lower", "upper", "merton_lb"]
     chart = charts.ChartSpec(x="s0", ys=("lower", "upper"), series=("fraction",),
                              title="bounds vs s0 under arbitrage nodes",
@@ -318,18 +311,15 @@ def cmd_vol_scan(cfg: ExperimentConfig):
         rule = build_rule(cfg)
     payoffs = [("CALL", build_payoff(cfg, "call")),
                ("BUTTERFLY", build_payoff(cfg, "butterfly"))]
-    tasks, meta = [], []
+    rows = []
     for j in range(1, steps + 1):
         n2 = unit * j
         for mode, lam in (("single", (n2,)),
                           ("cumulative", tuple(unit * r for r in range(1, j + 1)))):
             spec = spec_for_rule(rule, s0=s0, delta=d0, beta=d0, n1=n2, n2=n2, lam=lam)
             for kind, z in payoffs:
-                tasks.append((spec, rule, z))
-                meta.append((j, n2 * d0 * d0, mode, kind))
-    results = [engine.price(*t) for t in tasks]
-    rows = [[j, vj, mode, kind, lo, hi]
-            for (j, vj, mode, kind), (lo, hi) in zip(meta, results)]
+                lo, hi = engine.price(spec, rule, z)
+                rows.append([j, n2 * d0 * d0, mode, kind, lo, hi])
     header = ["j", "v_j", "mode", "payoff", "lower", "upper"]
     chart = charts.ChartSpec(x="j", ys=("lower", "upper"), series=("mode", "payoff"),
                              title="bounds vs accumulated variation",
@@ -346,7 +336,6 @@ def cmd_validate(cfg: ExperimentConfig):
         raise ModelValidationError("model validation failed", report)
     header = ["model", "p", "N2", "up_down", "flat", "positive_arbitrage",
               "negative_arbitrage", "not_zero_neutral", "q_unreachable", "ok"]
-    from .model import NodeClass
     row = [rule.kind, rule.p, spec.n2,
            report.counts.get(NodeClass.UP_DOWN, 0),
            report.counts.get(NodeClass.FLAT, 0),

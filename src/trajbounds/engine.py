@@ -31,6 +31,7 @@ from .model import (
     NotZeroNeutralError,
     TransitionRule,
     Vertex,
+    _clipped_bands,
     reachable,
     reachable_masks,
     shift_row,
@@ -267,37 +268,39 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.nda
     for j in range(n2 - 1, -1, -1):
         wj = spec.column_half_width(j)
         col = slice(n1 - wj, n1 + wj + 1)
+        # Window maxima per dk, same-dk bands merged by max; a masked-off band
+        # reads as the sentinel, like a move that leaves the grid.
+        ys: dict[int, np.ndarray] = {}
+        on: dict[int, bool | np.ndarray] = {}  # where some band of dk applies; True: everywhere
+        for dk, blo, bhi, mask in _clipped_bands(spec, rule, j):
+            y = shift_row(U[j + blo: j + bhi + 1].max(axis=0), dk, -_BIG)
+            if mask is None:
+                mask = True
+            else:
+                y[~mask] = -_BIG
+            if dk in ys:
+                ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
+            else:
+                ys[dk], on[dk] = y, mask
         C = np.full(W, -_BIG)
+        for a in (d for d in ys if d >= 0):
+            ea = em1[a]
+            for b in (d for d in ys if d <= 0 and d < a):
+                eb = em1[b]
+                den = ea - eb
+                ca = -eb / den
+                cb = ea / den
+                v = ca * ys[a] + cb * ys[b]
+                # A flat move's pair carries a zero weight, whose product with
+                # the sentinel is a signed zero: count it only where both apply.
+                both = on[a] & on[b] if 0 in (a, b) else True
+                np.maximum(C, v if both is True else np.where(both, v, -_BIG), out=C)
         lo = np.full(W, -np.inf)
         hi = np.full(W, np.inf)
-        for mask, bands in rule.band_groups(spec, j):
-            ys: dict[int, np.ndarray] = {}
-            for dk, blo, bhi in bands:
-                bhi = min(bhi, n2 - j)
-                if blo > bhi:
-                    continue
-                ys[dk] = shift_row(U[j + blo: j + bhi + 1].max(axis=0), dk, -_BIG)
-            gC = np.full(W, -_BIG)
-            for a in (d for d in ys if d >= 0):
-                ea = em1[a]
-                for b in (d for d in ys if d <= 0 and d < a):
-                    eb = em1[b]
-                    den = ea - eb
-                    ca = -eb / den
-                    cb = ea / den
-                    np.maximum(gC, ca * ys[a] + cb * ys[b], out=gC)
-            glo = np.full(W, -np.inf)
-            ghi = np.full(W, np.inf)
-            for a in (d for d in ys if d > 0):
-                np.maximum(glo, (ys[a] - gC) / (prices * em1[a]), out=glo)
-            for b in (d for d in ys if d < 0):
-                np.minimum(ghi, (ys[b] - gC) / (prices * em1[b]), out=ghi)
-            if mask is None:
-                C, lo, hi = gC, glo, ghi
-            else:
-                C = np.where(mask, gC, C)
-                lo = np.where(mask, glo, lo)
-                hi = np.where(mask, ghi, hi)
+        for a in (d for d in ys if d > 0):
+            np.maximum(lo, (ys[a] - C) / (prices * em1[a]), out=lo)
+        for b in (d for d in ys if d < 0):
+            np.minimum(hi, (ys[b] - C) / (prices * em1[b]), out=hi)
 
         srow = np.minimum(np.maximum(0.0, lo), hi)
         ok = C > _INVALID
@@ -362,8 +365,8 @@ def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.nd
 def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "banded") -> BoundsGrid:
     """Fill upper/lower bounds and hedge slopes over the whole grid.
 
-    ``method='banded'`` runs the vectorized sweep (rules must expose band
-    groups); ``'generic'`` runs the per-vertex reference sweep.  The payoff
+    ``method='banded'`` runs the vectorized sweep (rules must expose column
+    bands); ``'generic'`` runs the per-vertex reference sweep.  The payoff
     is read once, as the terminal row; the lower bound is the negated upper
     bound of the negated row, computed by the same code path.  Since the
     upper sweep takes max(payoff, continuation) on intermediate liquidation

@@ -19,6 +19,8 @@ import numpy as np
 Vertex = tuple[int, int]
 # (dk, dj_lo, dj_hi): moves to (k + dk, j + dj) are admissible for dj_lo <= dj <= dj_hi.
 Band = tuple[int, int, int]
+# (dk, dj_lo, dj_hi, mask): a band that applies only where the column's mask row is set.
+MaskedBand = tuple[int, int, int, Optional[np.ndarray]]
 
 
 class NodeClass(Enum):
@@ -158,8 +160,9 @@ class TransitionRule:
     """Base for band-structured transition rules.
 
     Subclasses must provide ``p`` (max |dk|), ``max_dj`` and either
-    vertex-independent :meth:`bands` or an override of :meth:`bands_at` /
-    :meth:`band_groups`.
+    vertex-independent :meth:`bands` or an override of :meth:`bands_at` and
+    :meth:`column_bands`.  The column passes read one list of masked bands
+    per column from :meth:`column_bands`.
     """
 
     kind: str = "?"
@@ -179,16 +182,10 @@ class TransitionRule:
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
         return self.bands()
 
-    def band_groups(
-        self, spec: GridSpec, j: int
-    ) -> list[tuple[Optional[np.ndarray], tuple[Band, ...]]]:
-        """Partition of the column's vertices into groups sharing one band set.
-
-        Returns (mask, bands) pairs where ``mask`` is a boolean row over the
-        full width (None means "all vertices").  Rules whose bands do not vary
-        by vertex return a single group.
-        """
-        return [(None, self.bands())]
+    def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
+        """Every band of column j, with the boolean row (full width) of the
+        vertices it applies to; a ``None`` mask means all of them."""
+        return [(dk, lo, hi, None) for dk, lo, hi in self.bands()]
 
 
 @dataclass(frozen=True)
@@ -268,10 +265,6 @@ class MBRule(TransitionRule):
         return self.p_max
 
     @property
-    def p_eta(self) -> float:
-        return self.p_max / self.A
-
-    @property
     def max_dj(self) -> int:
         return (self.p_max ** 2) // self.A
 
@@ -309,12 +302,6 @@ class BinomialBandRule:
             raise ValueError("need 0 < d < 1 < u")
         if self.levels < 2:
             raise ValueError("levels must be >= 2")
-
-    def factors(self) -> tuple[float, ...]:
-        if self.levels == 2:
-            return (self.d, self.u)
-        rho = (self.u / self.d) ** (1.0 / (self.levels - 1))
-        return tuple(self.d * rho ** t for t in range(self.levels))
 
 
 @dataclass(frozen=True)
@@ -391,16 +378,15 @@ class ModifiedRule(TransitionRule):
             return self._mod_bands(k)
         return self.base.bands_at(spec, k, j)
 
-    def band_groups(self, spec: GridSpec, j: int):
+    def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
         sel = self._column_masks(spec)[j]
         if not sel.any():
-            return [(None, self.base.bands())]
+            return self.base.column_bands(spec, j)
         ks = np.arange(-spec.n1, spec.n1 + 1)
-        return [
-            (~sel, self.base.bands()),
-            (sel & (ks >= 0), self._mod_bands(0)),
-            (sel & (ks < 0), self._mod_bands(-1)),
-        ]
+        pos, neg = sel & (ks >= 0), sel & (ks < 0)
+        return ([(dk, lo, hi, ~sel) for dk, lo, hi in self.base.bands()]
+                + [(dk, lo, hi, pos) for dk, lo, hi in self._mod_bands(0)]
+                + [(dk, lo, hi, neg) for dk, lo, hi in self._mod_bands(-1)])
 
 
 # --------------------------------------------------------------------------- #
@@ -477,6 +463,13 @@ def width_mask(spec: GridSpec, j: int) -> np.ndarray:
     return np.abs(ks) <= spec.column_half_width(j)
 
 
+def _clipped_bands(spec: GridSpec, rule: TransitionRule, j: int) -> list[MaskedBand]:
+    """``rule.column_bands`` with each dj window cut at the last column; empty ones dropped."""
+    top = spec.n2 - j
+    return [(dk, lo, min(hi, top), mask) for dk, lo, hi, mask in rule.column_bands(spec, j)
+            if lo <= min(hi, top)]
+
+
 def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     """Boolean (n2+1, width) array: vertices reachable from (0, 0).
 
@@ -491,17 +484,13 @@ def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     hits = np.zeros(w, dtype=np.int32)
     for j in range(n2):
         if reach[j].any():
-            for mask, bands in rule.band_groups(spec, j):
+            for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
                 src = reach[j] if mask is None else (reach[j] & mask)
-                if not src.any():
+                if mask is not None and not src.any():
                     continue
-                for dk, lo, hi in bands:
-                    hi_eff = min(hi, n2 - j)
-                    if lo > hi_eff:
-                        continue
-                    moved = shift_row(src, -dk, False)
-                    diff[j + lo] += moved
-                    diff[j + hi_eff + 1] -= moved
+                moved = shift_row(src, -dk, False)
+                diff[j + lo] += moved
+                diff[j + hi + 1] -= moved
         hits += diff[j + 1]
         reach[j + 1] = (hits > 0) & width_mask(spec, j + 1)
     return reach
@@ -522,15 +511,10 @@ def _landing_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
         if j in lam:
             land[j] = wmask
         else:
-            for mask, bands in rule.band_groups(spec, j):
-                grp = np.zeros(w, dtype=bool)
-                for dk, lo, hi in bands:
-                    hi_eff = min(hi, n2 - j)
-                    if lo > hi_eff:
-                        continue
-                    grp |= shift_row(suf[j + lo] - suf[j + hi_eff + 1] > 0, dk, False)
-                grp &= wmask
-                land[j] |= grp if mask is None else (grp & mask)
+            for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
+                hit = shift_row(suf[j + lo] - suf[j + hi + 1] > 0, dk, False)
+                land[j] |= hit if mask is None else (hit & mask)
+            land[j] &= wmask
         suf[j] = suf[j + 1] + land[j]
     return land
 
@@ -541,35 +525,14 @@ def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.n
     A move along band (dk, lo, hi) exists at k iff the window still contains a
     dj with the target inside the cone: dj >= ceil(|k+dk| / p) - j.
     """
-    w = spec.width
     ks = np.arange(-spec.n1, spec.n1 + 1)
-    has_up = np.zeros(w, dtype=bool)
-    has_dn = np.zeros(w, dtype=bool)
-    has_flat = np.zeros(w, dtype=bool)
-    for mask, bands in rule.band_groups(spec, j):
-        up = np.zeros(w, dtype=bool)
-        dn = np.zeros(w, dtype=bool)
-        fl = np.zeros(w, dtype=bool)
-        for dk, lo, hi in bands:
-            hi_eff = min(hi, spec.n2 - j)
-            if lo > hi_eff:
-                continue
-            kk = np.abs(ks + dk)
-            need = np.maximum(lo, -(-kk // spec.p) - j)
-            ok = (need <= hi_eff) & (kk <= spec.n1)
-            if dk > 0:
-                up |= ok
-            elif dk < 0:
-                dn |= ok
-            else:
-                fl |= ok
-        if mask is None:
-            has_up, has_dn, has_flat = has_up | up, has_dn | dn, has_flat | fl
-        else:
-            has_up |= up & mask
-            has_dn |= dn & mask
-            has_flat |= fl & mask
-    return has_up, has_dn, has_flat
+    # One flag row per sign of dk: index 1 up, -1 down, 0 flat.
+    flags = np.zeros((3, spec.width), dtype=bool)
+    for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
+        kk = np.abs(ks + dk)
+        ok = (np.maximum(lo, -(-kk // spec.p) - j) <= hi) & (kk <= spec.n1)
+        flags[(dk > 0) - (dk < 0)] |= ok if mask is None else (ok & mask)
+    return flags[1], flags[-1], flags[0]
 
 
 # --------------------------------------------------------------------------- #

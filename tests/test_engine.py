@@ -12,6 +12,7 @@ from trajbounds.engine import (
     price,
 )
 from trajbounds.grid import Payoff, build_grid
+from trajbounds.oracle import brute_force_upper
 from trajbounds.model import (
     BinomialBandRule,
     MARule,
@@ -22,6 +23,7 @@ from trajbounds.model import (
     spec_for_rule,
     spec_from_total_variance,
 )
+from test_model import DoubleStepRule, OverlapRule
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -266,6 +268,12 @@ class TestComputeBounds:
             (MBRule(p_max=2, A=2), dict(n1=8, n2=8, lam=(4, 8))),
             (inject_arbitrage(bjn_rule(), 0.4, seed=12), dict(n1=8, n2=8)),
             (inject_arbitrage(MARule(3), 0.3, seed=5), dict(n1=9, n2=9, lam=(5, 9))),
+            # A base band and an arbitrage band share dk = 0 under different masks.
+            (inject_arbitrage(MARule(2, allow_flat=True), 0.3, seed=5), dict(n1=9, n2=9, lam=(5, 9))),
+            # Bands with the same dk merge by max.
+            (OverlapRule(), dict(n1=4, n2=4)),
+            (OverlapRule(), dict(n1=6, n2=6, lam=(3, 6))),
+            (DoubleStepRule(), dict(n1=6, n2=6)),
         ]
         for rule, kw in cases:
             spec = unit_spec(rule, **kw)
@@ -278,6 +286,12 @@ class TestComputeBounds:
                     assert np.array_equal(np.isfinite(arr_a), np.isfinite(arr_b))
                     assert np.allclose(arr_a[both], arr_b[both], rtol=1e-12, atol=1e-13)
                 assert np.array_equal(a.prov, b.prov), (rule.kind, z.kind)
+        # Overlapping same-dk bands: the banded bound must not fall below the oracle's.
+        rule = OverlapRule()
+        spec = unit_spec(rule, 4, 4)
+        for z in (CALL, PUT, BFLY, Payoff.butterfly(0.95, 1.1)):
+            hi = compute_bounds(build_grid(spec), rule, z).upper_at(0, 0)
+            assert hi >= brute_force_upper(spec, rule, z) * (1 - 1e-12), z
 
     def test_unit_jump_bounds_coincide_bitwise(self):
         rule = bjn_rule()

@@ -1,9 +1,10 @@
 import csv
+import hashlib
 import math
 
 import pytest
 
-from trajbounds.engine import compute_bounds
+from trajbounds.engine import compute_bounds, inject_arbitrage
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.model import GridSpec, MARule, ModifiedRule, bjn_rule, spec_for_rule
 
@@ -135,3 +136,18 @@ class TestBoundsCsv:
         got = (tmp_path / "by_column.csv").read_bytes()
         assert got == ref.read_bytes()
         assert marker in got
+
+    @pytest.mark.parametrize("payoff, sha256", [
+        (Payoff.call(1.0), "e7e0035eed0e90cdf3398645836d8db7bdb3cc1acca71e92cbe63ad051aca3e6"),
+        (Payoff.butterfly(0.95, 1.1),
+         "00881288e7cad89ceca67f027eb0f2bf3a31ab3a85e8bd251d9508bdd42f1eff"),
+    ], ids=["call", "butterfly"])
+    def test_injected_surface_pinned(self, tmp_path, payoff, sha256):
+        # Base and arbitrage bands share dk = 0 under different masks; the
+        # pinned bytes include hundreds of -0.0 cells.
+        rule = inject_arbitrage(MARule(3, allow_flat=True), 0.3, seed=7)
+        spec = spec_for_rule(rule, 1.0, 0.05, 0.05, 14, 14, lam=(7, 14))
+        compute_bounds(build_grid(spec), rule, payoff).to_csv(tmp_path / "surface.csv")
+        got = (tmp_path / "surface.csv").read_bytes()
+        assert b",-0.0" in got
+        assert hashlib.sha256(got).hexdigest() == sha256
