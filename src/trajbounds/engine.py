@@ -30,7 +30,6 @@ from .model import (
     ModifiedRule,
     NotZeroNeutralError,
     TransitionRule,
-    Vertex,
     _clipped_bands,
     reachable,
     reachable_masks,
@@ -45,7 +44,6 @@ _INVALID = -1e250  # anything below this is a leaked sentinel, not a value
 class HullPoint(NamedTuple):
     x: float
     y: float
-    vertex: Optional[Vertex] = None
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,7 @@ class LocalSolution:
 
 
 def _as_points(points: Iterable) -> list[HullPoint]:
-    out = []
-    for p in points:
-        if isinstance(p, HullPoint):
-            out.append(p)
-        else:
-            t = tuple(p)
-            out.append(HullPoint(float(t[0]), float(t[1]), t[2] if len(t) > 2 else None))
-    return out
+    return [p if isinstance(p, HullPoint) else HullPoint(float(p[0]), float(p[1])) for p in points]
 
 
 def _support_slope(points: Sequence[HullPoint], s: float, value: float) -> float:
@@ -216,34 +207,13 @@ def _terminal_row(grid: Grid, payoff) -> np.ndarray:
     return row
 
 
-def _resolve_vertex(grid, rule, Z, U, k: int, j: int, in_lam: bool,
-                    is_reachable: bool):
-    """Per-vertex pricing fallback; None means the vertex stays uncomputed."""
-    spec = grid.spec
-    succ = reachable(spec, rule, (k, j))
-    if not succ:
-        if not is_reachable:
-            return None
-        if in_lam:
-            # Forced liquidation: the trajectory has nowhere to go but sits on
-            # an admissible variation level.
-            return Z[k + spec.n1], 0.0, True
-        raise NotZeroNeutralError((k, j))
-    s = grid.price(k)
-    pts = [HullPoint(grid.price(kk), float(U[jj, kk + spec.n1]), (kk, jj)) for kk, jj in succ]
-    if any(math.isnan(p.y) for p in pts):
-        return None  # successor chain never computed: vertex is unreachable
-    try:
-        sol = hull_fast([p for p in pts if p.x > s], [p for p in pts if p.x <= s], s)
-    except NotZeroNeutralError:
-        if not is_reachable:
-            return None
-        raise NotZeroNeutralError((k, j)) from None
-    return sol.value, sol.slope, False
+def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray):
+    """Vectorized descending-j sweep from terminal row ``Z``; full-width (U, slope, prov).
 
-
-def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.ndarray):
-    """Vectorized descending-j sweep from terminal row ``Z``; full-width (U, slope, prov)."""
+    A vertex is left NaN where it has no finite local optimum: it is not
+    0-neutral, it has no move and sits off every liquidation column, or one of
+    its successors is NaN.
+    """
     spec = grid.spec
     n1, n2, W = spec.n1, spec.n2, spec.width
     delta = spec.delta
@@ -295,6 +265,9 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.nda
                 # the sentinel is a signed zero: count it only where both apply.
                 both = on[a] & on[b] if 0 in (a, b) else True
                 np.maximum(C, v if both is True else np.where(both, v, -_BIG), out=C)
+        if 0 in ys:
+            # Flat moves only: the degenerate hull takes the best flat value.
+            C = np.where(C <= _INVALID, ys[0], C)
         lo = np.full(W, -np.inf)
         hi = np.full(W, np.inf)
         for a in (d for d in ys if d > 0):
@@ -302,29 +275,21 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.nda
         for b in (d for d in ys if d < 0):
             np.minimum(hi, (ys[b] - C) / (prices * em1[b]), out=hi)
 
-        srow = np.minimum(np.maximum(0.0, lo), hi)
         ok = C > _INVALID
-        in_lam = j in lam
+        Uj = np.where(ok, C, np.nan)
+        Sj = np.where(ok, np.minimum(np.maximum(0.0, lo), hi), np.nan)
+        Pj = np.where(ok, np.int8(PROV_CONTINUATION), np.int8(0))
 
-        Uj = np.full(W, np.nan)
-        Pj = np.zeros(W, dtype=np.int8)
-        Uj[ok] = C[ok]
-        Pj[ok] = PROV_CONTINUATION
-        Sj = np.where(ok, srow, np.nan)
-
-        for i in np.flatnonzero(~ok & reach[j]):
-            k = int(i) - n1
-            res = _resolve_vertex(grid, rule, Z, U, k, j, in_lam, True)
-            if res is None:
-                continue
-            val, sl, forced_stop = res
-            Uj[i], Sj[i] = val, sl
-            Pj[i] = PROV_Q_MAX if forced_stop else PROV_CONTINUATION
-
-        if in_lam:
-            stop_wins = Z > Uj  # NaN-safe: comparisons with NaN are False
-            Uj = np.where(stop_wins, Z, Uj)
-            Pj = np.where(stop_wins, np.int8(PROV_Q_MAX), Pj)
+        if j in lam:
+            # Forced liquidation where no move is left (a NaN target is a
+            # move); elsewhere stop where the payoff beats continuation.
+            stuck = ~ok
+            for y in ys.values():
+                stuck &= y <= _INVALID
+            stop = stuck | (Z > Uj)  # NaN-safe: comparisons with NaN are False
+            Uj = np.where(stop, Z, Uj)
+            Sj[stuck] = 0.0
+            Pj = np.where(stop, np.int8(PROV_Q_MAX), Pj)
 
         U[j, col] = Uj[col]
         slope[j, col] = Sj[col]
@@ -334,7 +299,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.nda
     return U, slope, prov
 
 
-def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.ndarray):
+def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray):
     """Reference per-vertex sweep with identical semantics to the banded one."""
     spec = grid.spec
     n1, n2, W = spec.n1, spec.n2, spec.width
@@ -351,14 +316,23 @@ def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: np.nd
         in_lam = j in lam
         for k in grid.column_ks(j):
             i = k + n1
-            res = _resolve_vertex(grid, rule, Z, U, k, j, in_lam, bool(reach[j, i]))
-            if res is None:
+            succ = reachable(spec, rule, (k, j))
+            if not succ:
+                if in_lam:  # forced liquidation: the trajectory has nowhere to go
+                    U[j, i], slope[j, i], prov[j, i] = Z[i], 0.0, PROV_Q_MAX
                 continue
-            val, sl, forced_stop = res
-            pv = PROV_Q_MAX if forced_stop else PROV_CONTINUATION
-            if in_lam and not forced_stop and Z[i] > val:
+            s = grid.price(k)
+            pts = [HullPoint(grid.price(kk), float(U[jj, kk + n1])) for kk, jj in succ]
+            if any(math.isnan(p.y) for p in pts):
+                continue
+            try:
+                sol = hull_fast([p for p in pts if p.x > s], [p for p in pts if p.x <= s], s)
+            except NotZeroNeutralError:
+                continue
+            val, pv = sol.value, PROV_CONTINUATION
+            if in_lam and Z[i] > val:
                 val, pv = Z[i], PROV_Q_MAX
-            U[j, i], slope[j, i], prov[j, i] = val, sl, pv
+            U[j, i], slope[j, i], prov[j, i] = val, sol.slope, pv
     return U, slope, prov
 
 
@@ -371,12 +345,22 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
     bound of the negated row, computed by the same code path.  Since the
     upper sweep takes max(payoff, continuation) on intermediate liquidation
     columns, the lower bound takes min(payoff, continuation) there.
+
+    Both sweeps price every vertex they can, reachable from (0, 0) or not,
+    and leave the rest NaN.  An unpriced reachable vertex leaves the root
+    unpriced too; only then does one reachability pass name the vertex in
+    the :class:`NotZeroNeutralError`: the reachable unpriced one of highest
+    ``j``, then lowest ``k``.
     """
     sweep = _sweep_banded if method == "banded" else _sweep_generic
-    reach = reachable_masks(grid.spec, rule)
     Z = _terminal_row(grid, payoff)
-    upper, slope_up, prov = sweep(grid, rule, Z, reach)
-    lower, slope_dn, _ = sweep(grid, rule, -Z, reach)
+    upper, slope_up, prov = sweep(grid, rule, Z)
+    n1 = grid.spec.n1
+    if math.isnan(upper[0, n1]):
+        bad = reachable_masks(grid.spec, rule) & np.isnan(upper)
+        j = int(np.flatnonzero(bad.any(axis=1))[-1])
+        raise NotZeroNeutralError((int(np.flatnonzero(bad[j])[0]) - n1, j))
+    lower, slope_dn, _ = sweep(grid, rule, -Z)
     np.negative(lower, out=lower)
     return BoundsGrid(grid, payoff, upper, lower, slope_up, slope_dn, prov)
 

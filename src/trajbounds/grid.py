@@ -156,9 +156,10 @@ class BoundsGrid:
     """Per-vertex upper/lower bounds with the hedge slopes that attain them.
 
     Rows are full-width arrays indexed by ``k + n1``; vertices that were not
-    computed (outside the grid, or unreachable with one-sided moves) hold NaN
-    and provenance 0.  ``slope_dn`` stores the slope recorded by the negated-
-    payoff sweep; a long position applies it with a minus sign.
+    computed (outside the grid, or unreachable from (0, 0) and without a
+    finite local optimum) hold NaN and provenance 0.  ``slope_dn`` stores the
+    slope recorded by the negated-payoff sweep; a long position applies it
+    with a minus sign.
     """
 
     def __init__(self, grid: Grid, payoff, upper, lower, slope_up, slope_dn, prov):

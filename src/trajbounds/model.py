@@ -486,8 +486,6 @@ def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
         if reach[j].any():
             for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
                 src = reach[j] if mask is None else (reach[j] & mask)
-                if mask is not None and not src.any():
-                    continue
                 moved = shift_row(src, -dk, False)
                 diff[j + lo] += moved
                 diff[j + hi + 1] -= moved

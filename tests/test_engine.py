@@ -20,10 +20,11 @@ from trajbounds.model import (
     NotZeroNeutralError,
     bjn_rule,
     reachable,
+    reachable_masks,
     spec_for_rule,
     spec_from_total_variance,
 )
-from test_model import DoubleStepRule, OverlapRule
+from test_model import DoubleStepRule, FlatTailRule, OverlapRule
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -274,6 +275,12 @@ class TestComputeBounds:
             (OverlapRule(), dict(n1=4, n2=4)),
             (OverlapRule(), dict(n1=6, n2=6, lam=(3, 6))),
             (DoubleStepRule(), dict(n1=6, n2=6)),
+            # Column 5 has no move at all and is a liquidation column; its
+            # unreachable predecessors on column 3 are priced through it.
+            (DoubleStepRule(), dict(n1=6, n2=6, lam=(5, 6))),
+            # Column n2 - 1 has only the flat move.
+            (FlatTailRule(), dict(n1=6, n2=6)),
+            (FlatTailRule(), dict(n1=6, n2=6, lam=(3, 6))),
         ]
         for rule, kw in cases:
             spec = unit_spec(rule, **kw)
@@ -310,6 +317,45 @@ class TestComputeBounds:
         with pytest.raises(NotZeroNeutralError) as e:
             compute_bounds(grid, rule, CALL)
         assert e.value.vertex is not None
+
+    def test_reach_pass_only_when_root_unpriced(self, monkeypatch):
+        calls = []
+
+        def counted(spec, rule):
+            calls.append(spec)
+            return reachable_masks(spec, rule)
+
+        monkeypatch.setattr("trajbounds.engine.reachable_masks", counted)
+        rule = MARule(3)
+        compute_bounds(build_grid(unit_spec(rule, 10, 10, lam=(5, 10))), rule, CALL)
+        assert calls == []
+        # Not 0-neutral at the k = -5 edge: the named vertex is the reachable
+        # unpriced one of highest j, then lowest k.
+        grid = build_grid(unit_spec(rule, 5, 10))
+        for method in ("banded", "generic"):
+            calls.clear()
+            with pytest.raises(NotZeroNeutralError) as e:
+                compute_bounds(grid, rule, CALL, method=method)
+            assert e.value.vertex == (-5, 9), method
+            assert len(calls) == 1, method
+
+    def test_flat_only_column_priced(self):
+        rule = FlatTailRule()
+        spec = unit_spec(rule, 5, 5)
+        _, hi = price(spec, rule, CALL)
+        assert hi == 0.024994792968420724
+
+    def test_stuck_vertices_on_liquidation_column_stop(self):
+        # Every move advances two columns, so column 5 of 6 has none; on a
+        # liquidation column each of its vertices stops, reachable or not.
+        rule = DoubleStepRule()
+        grid = build_grid(unit_spec(rule, 6, 6, lam=(3, 5, 6)))
+        for method in ("banded", "generic"):
+            b = compute_bounds(grid, rule, CALL, method=method)
+            for k in grid.column_ks(5):
+                z = CALL.value_at(grid.price(k))
+                assert b.provenance_at(k, 5) == "Q_MAX", (method, k)
+                assert b.upper_at(k, 5) == z == b.lower_at(k, 5), (method, k)
 
     def test_convex_upper_passthrough_is_bitwise(self):
         # Continuation dominates intrinsic for convex payoffs, so intermediate

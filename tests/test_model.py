@@ -216,6 +216,26 @@ class DoubleStepRule(TransitionRule):
         return ((-1, 2, 2), (1, 2, 2))
 
 
+class FlatTailRule(TransitionRule):
+    """Test-only rule: a flat step of one column, unit price moves of two.
+
+    Column ``n2 - 1`` has only the flat move, so every vertex there is flat.
+    """
+
+    kind = "FLATTAIL"
+
+    @property
+    def p(self):
+        return 1
+
+    @property
+    def max_dj(self):
+        return 2
+
+    def bands(self):
+        return ((0, 1, 1), (-1, 2, 2), (1, 2, 2))
+
+
 class OverlapRule(TransitionRule):
     """Test-only rule: bands out of dk order, two of them overlapping in dk = 1."""
 
