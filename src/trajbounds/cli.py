@@ -23,6 +23,7 @@ from .model import (
     MBRule,
     ModelValidationError,
     NodeClass,
+    NotZeroNeutralError,
     TransitionRule,
     bjn_rule,
     spec_for_rule,
@@ -273,9 +274,12 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
     n_paths = int(cfg.get("n_paths", 200))
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    validate_model(spec, rule).raise_if_failed()
     grid = build_grid(spec)
-    bounds = engine.compute_bounds(grid, rule, payoff)
+    try:
+        bounds = engine.compute_bounds(grid, rule, payoff)
+    except NotZeroNeutralError:
+        validate_model(spec, rule).raise_if_failed()
+        raise
     lo, hi = bounds.price_interval()
     seed = int(cfg.get("seed", 0))
     runs = [

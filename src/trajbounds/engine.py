@@ -73,10 +73,21 @@ def _support_slope(points: Sequence[HullPoint], s: float, value: float) -> float
     return min(max(0.0, lo), hi)
 
 
-def _split_minus(minus: Sequence[HullPoint], s: float):
+def _local_inputs(points_plus, points_minus, s: float):
+    """Checked ``(plus, minus, flats, downs)`` in input order; raises where no optimum exists."""
+    plus = _as_points(points_plus)
+    minus = _as_points(points_minus)
+    if any(p.x <= s for p in plus):
+        raise ValueError("points_plus must satisfy x > s_k")
+    if any(p.x > s for p in minus):
+        raise ValueError("points_minus must satisfy x <= s_k")
+    if not plus and not minus:
+        raise ValueError("both successor sets are empty")
     flats = [p for p in minus if p.x == s]
     downs = [p for p in minus if p.x < s]
-    return flats, downs
+    if not flats and not (plus and downs):
+        raise NotZeroNeutralError()
+    return plus, minus, flats, downs
 
 
 def _degenerate_solution(
@@ -101,21 +112,9 @@ def convex_hull_step(points_plus, points_minus, s_k: float) -> LocalSolution:
     when flats are present (arbitrage vertices); otherwise the vertex is not
     0-neutral and no finite optimum exists.
     """
-    plus = _as_points(points_plus)
-    minus = _as_points(points_minus)
-    if any(p.x <= s_k for p in plus):
-        raise ValueError("points_plus must satisfy x > s_k")
-    if any(p.x > s_k for p in minus):
-        raise ValueError("points_minus must satisfy x <= s_k")
-    if not plus and not minus:
-        raise ValueError("both successor sets are empty")
-    flats, downs = _split_minus(minus, s_k)
+    plus, minus, flats, downs = _local_inputs(points_plus, points_minus, s_k)
     if not plus:
-        if not flats:
-            raise NotZeroNeutralError()
         return _degenerate_solution(plus, flats, downs, s_k)
-    if not minus:
-        raise NotZeroNeutralError()
 
     best = -math.inf
     best_u = math.inf
@@ -157,23 +156,9 @@ def hull_fast(points_plus, points_minus, s_k: float) -> LocalSolution:
 
     O(m log m): the maximizing chord is the envelope edge spanning ``s_k``.
     """
-    plus = _as_points(points_plus)
-    minus = _as_points(points_minus)
-    if any(p.x <= s_k for p in plus):
-        raise ValueError("points_plus must satisfy x > s_k")
-    if any(p.x > s_k for p in minus):
-        raise ValueError("points_minus must satisfy x <= s_k")
-    if not plus and not minus:
-        raise ValueError("both successor sets are empty")
-    flats, downs = _split_minus(minus, s_k)
-    if not plus:
-        if not flats:
-            raise NotZeroNeutralError()
-        return _degenerate_solution(plus, flats, downs, s_k)
-    if not minus:
-        raise NotZeroNeutralError()
-    if not downs and flats:
-        # Positive arbitrage: the spanning edge degenerates onto the flats.
+    plus, minus, flats, downs = _local_inputs(points_plus, points_minus, s_k)
+    if not plus or not downs:
+        # No up move or no down move: the spanning edge degenerates onto the flats.
         return _degenerate_solution(plus, flats, downs, s_k)
 
     hull = _upper_hull(plus + minus)
@@ -365,12 +350,17 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
     return BoundsGrid(grid, payoff, upper, lower, slope_up, slope_dn, prov)
 
 
-def price(spec: GridSpec, rule: TransitionRule, payoff, *,
-          validate: bool = True) -> tuple[float, float]:
-    """(lower, upper) worst-case price interval at the root vertex (0, 0)."""
-    if validate:
+def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:
+    """(lower, upper) worst-case price interval at the root vertex (0, 0).
+
+    The sweep decides validity; only an unpriced root runs the
+    :func:`validate_model` audit, which raises its ``ModelValidationError``.
+    """
+    try:
+        bounds = compute_bounds(build_grid(spec), rule, payoff)
+    except NotZeroNeutralError:
         validate_model(spec, rule).raise_if_failed()
-    bounds = compute_bounds(build_grid(spec), rule, payoff)
+        raise
     return bounds.price_interval()
 
 

@@ -112,7 +112,7 @@ class Payoff:
         raise ValueError(f"unknown payoff kind {self.kind!r}")
 
     def negated(self) -> "Payoff":
-        """Payoff -Z as a callable table-free wrapper; used by the lower-bound sweep."""
+        """Payoff -Z as a callable table-free wrapper."""
         return _NegatedPayoff(self)
 
 

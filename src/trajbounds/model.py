@@ -547,7 +547,8 @@ class ValidationReport:
     """Structural audit of reachable non-terminal vertices.
 
     ``codes[j, k + n1]`` is the class code of vertex ``(k, j)`` (an index into
-    ``NodeClass`` order), or -1 where the vertex is unreachable or terminal.
+    ``NodeClass`` order), or -1 where the vertex is unreachable, terminal or
+    a forced stop (no move, on a liquidation column: its trajectories end).
     """
 
     spec: GridSpec
@@ -601,8 +602,9 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
     """Classify every reachable non-terminal vertex and audit liquidation reach.
 
     Vertices of the grid that are not reachable from (0, 0) are excluded from
-    the report.  The result is a plain report; call ``raise_if_failed`` to
-    turn defects into exceptions.
+    the report, and so are forced stops (no move, on a liquidation column),
+    which end their trajectories like terminal vertices.  The result is a
+    plain report; call ``raise_if_failed`` to turn defects into exceptions.
     """
     reach = reachable_masks(spec, rule)
     land = _landing_masks(spec, rule)
@@ -611,9 +613,9 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
         if not reach[j].any():
             continue
         up, dn, fl = _successor_flags(spec, rule, j)
-        # Same priority as _class_from_flags.
-        cls = np.select([up & dn, up & fl, dn & fl, fl],
-                        [_UP_DOWN, _POS_ARB, _NEG_ARB, _FLAT], _NZN)
+        # Same priority as _class_from_flags; no move on a liquidation column is a stop.
+        cls = np.select([up & dn, up & fl, dn & fl, fl, ~(up | dn) & (j in spec.lam)],
+                        [_UP_DOWN, _POS_ARB, _NEG_ARB, _FLAT, -1], _NZN)
         codes[j] = np.where(reach[j], cls, -1)
     classified = codes >= 0
     tally = np.bincount(codes[classified], minlength=len(_CLASSES))

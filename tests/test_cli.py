@@ -64,10 +64,11 @@ class TestExitCodes:
         assert main(["price", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_validation_failure_exit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "price", "hedge-sim"])
+    def test_validation_failure_exit(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path / "bad.cfg",
                         "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n")
-        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "validation failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text", [
@@ -160,6 +161,15 @@ class TestCommands:
         for r in rows:
             if r["side"] == "SHORT" and float(r["X"]) == xs[1]:  # upper + 0.01
                 assert float(r["excess"]) >= -1e-9
+
+    def test_hedge_sim_audits_only_on_failure(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("trajbounds.cli.validate_model",
+                            lambda spec, rule: calls.append(spec))
+        cfg = ExperimentConfig({"model": "ma", "p": 3, "N2": 20, "v0": 0.0067,
+                                "Lambda": (10, 20), "n_paths": 5})
+        cmd_hedge_sim(cfg)
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_hedge_sim_replays_each_trajectory(self, seed):

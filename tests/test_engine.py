@@ -17,12 +17,14 @@ from trajbounds.model import (
     BinomialBandRule,
     MARule,
     MBRule,
+    ModelValidationError,
     NotZeroNeutralError,
     bjn_rule,
     reachable,
     reachable_masks,
     spec_for_rule,
     spec_from_total_variance,
+    validate_model,
 )
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule
 
@@ -308,11 +310,10 @@ class TestComputeBounds:
             assert lo == hi
 
     def test_not_zero_neutral_propagates_vertex(self):
-        from trajbounds.model import ModelValidationError
         rule = MARule(3)
         spec = unit_spec(rule, 5, 10)
         with pytest.raises(ModelValidationError):
-            price(spec, rule, CALL)  # validation front-runs the sweep
+            price(spec, rule, CALL)  # the audit explains the sweep's failure
         grid = build_grid(spec)
         with pytest.raises(NotZeroNeutralError) as e:
             compute_bounds(grid, rule, CALL)
@@ -339,6 +340,25 @@ class TestComputeBounds:
             assert e.value.vertex == (-5, 9), method
             assert len(calls) == 1, method
 
+    def test_audit_only_when_root_unpriced(self, monkeypatch):
+        calls = []
+
+        def counted(spec, rule):
+            calls.append(spec)
+            return validate_model(spec, rule)
+
+        monkeypatch.setattr("trajbounds.engine.validate_model", counted)
+        rule = MARule(3)
+        price(unit_spec(rule, 10, 10, lam=(5, 10)), rule, CALL)
+        assert calls == []
+        spec = unit_spec(rule, 5, 10)
+        with pytest.raises(ModelValidationError) as got:
+            price(spec, rule, CALL)
+        assert len(calls) == 1
+        with pytest.raises(ModelValidationError) as want:
+            validate_model(spec, rule).raise_if_failed()
+        assert str(got.value) == str(want.value)
+
     def test_flat_only_column_priced(self):
         rule = FlatTailRule()
         spec = unit_spec(rule, 5, 5)
@@ -356,6 +376,20 @@ class TestComputeBounds:
                 z = CALL.value_at(grid.price(k))
                 assert b.provenance_at(k, 5) == "Q_MAX", (method, k)
                 assert b.upper_at(k, 5) == z == b.lower_at(k, 5), (method, k)
+
+    def test_forced_stop_is_valid(self):
+        # Column 4 of 5 has no move; as a liquidation column it ends every
+        # trajectory that reaches it, so the model is valid and priced.
+        rule = DoubleStepRule()
+        spec = unit_spec(rule, 5, 5, lam=(4, 5))
+        report = validate_model(spec, rule)
+        assert report.ok
+        assert (report.codes[4] == -1).all()
+        lo, hi = price(spec, rule, CALL)
+        want_hi = brute_force_upper(spec, rule, CALL)
+        assert want_hi == pytest.approx(0.024994792968420707, abs=1e-15)
+        assert hi == pytest.approx(want_hi, rel=0, abs=1e-12)
+        assert lo == pytest.approx(-brute_force_upper(spec, rule, CALL.negated()), rel=0, abs=1e-12)
 
     def test_convex_upper_passthrough_is_bitwise(self):
         # Continuation dominates intrinsic for convex payoffs, so intermediate
@@ -422,6 +456,24 @@ class TestInjectArbitrage:
         mod = inject_arbitrage(base, 0.0, seed=1)
         spec = spec_from_total_variance(base, 1.0, V0, 20)
         assert price(spec, mod, CALL) == price(spec, base, CALL)
+
+    def test_price_iff_valid_on_injected_corpus(self):
+        # Injection leaves some of these models invalid (18 of the 80 when
+        # this test was written): price() must fail on exactly those, with
+        # the audit's own message.
+        for fraction in (0.1, 0.3):
+            for seed in range(40):
+                rule = inject_arbitrage(MARule(3), fraction, seed)
+                spec = spec_from_total_variance(rule, 1.0, V0, 20)
+                report = validate_model(spec, rule)
+                if report.ok:
+                    price(spec, rule, CALL)
+                    continue
+                with pytest.raises(ModelValidationError) as got:
+                    price(spec, rule, CALL)
+                with pytest.raises(ModelValidationError) as want:
+                    report.raise_if_failed()
+                assert str(got.value) == str(want.value), (fraction, seed)
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
