@@ -4,8 +4,10 @@ The upper bound at a non-terminal vertex is the highest intersection with the
 vertical line ``x = s_k`` over all chords joining one successor with price
 above ``s_k`` to one with price at or below it.  The recorded hedge slope is
 the support slope of that value nearest zero, so it superhedges every
-successor by construction.  Lower bounds reuse the identical sweep on the
-negated terminal payoff row.
+successor by construction.  Upper and lower bounds come from one batched
+column sweep over the stacked terminal rows ``[Z, -Z]``: ``price`` holds only
+the next ``max_dj`` rows, while ``compute_bounds`` keeps the full surfaces
+for hedging.
 """
 
 from __future__ import annotations
@@ -193,51 +195,55 @@ def _terminal_row(grid: Grid, payoff) -> np.ndarray:
 
 
 def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray):
-    """Vectorized descending-j sweep from terminal row ``Z``; full-width (U, slope, prov).
+    """Vectorized descending-j sweep of the stacked terminal rows ``Z`` (lanes, W).
 
-    A vertex is left NaN where it has no finite local optimum: it is not
-    0-neutral, it has no move and sits off every liquidation column, or one of
-    its successors is NaN.
+    Yields ``(j, V, ys, C, stop)`` for each column j = n2-1 .. 0: its values
+    ``V`` (the sentinel off the column's cone), the window maxima ``ys`` per
+    dk, the continuation ``C`` (at most ``_INVALID`` where none exists) and,
+    on a liquidation column, the ``stop`` mask (else None).  Only the next
+    ``D = min(max_dj, n2)`` rows are kept, ordered by distance: ``buf[pos+d-1]``
+    is row j+d.  ``buf`` holds 2D rows, so each window stays one slice read
+    in ascending d, and the D-1 rows still needed move up once every D
+    columns.  A vertex is left NaN where it has no finite local optimum: it
+    is not 0-neutral, it has no move and sits off every liquidation column,
+    or one of its successors is NaN.
     """
     spec = grid.spec
-    n1, n2, W = spec.n1, spec.n2, spec.width
-    delta = spec.delta
+    n1, n2 = spec.n1, spec.n2
     lam = set(spec.lam)
-    prices = grid.prices
 
     # Off-grid entries hold the sentinel so window maxima ignore them, while
-    # NaN (uncomputed, in grid) propagates through later window maxima.
-    U = np.full((n2 + 1, W), -_BIG)
-    slope = np.full((n2 + 1, W), np.nan)
-    prov = np.zeros((n2 + 1, W), dtype=np.int8)
-
-    wterm = spec.column_half_width(n2)
-    term = slice(n1 - wterm, n1 + wterm + 1)
-    U[n2, term] = Z[term]
-    slope[n2, term] = 0.0
-    prov[n2, term] = PROV_TERMINAL_PAYOFF
+    # NaN (uncomputed, in grid) propagates through later window maxima.  The
+    # terminal column spans the full width (n1 <= p * n2).
+    D = min(rule.max_dj, n2)
+    buf = np.full((2 * D, *Z.shape), -_BIG)
+    pos = D
+    buf[pos] = Z
 
     pmax = max(spec.p, rule.p)
-    em1 = {dk: math.expm1(dk * delta) for dk in range(-pmax, pmax + 1)}
+    em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
 
     for j in range(n2 - 1, -1, -1):
-        wj = spec.column_half_width(j)
-        col = slice(n1 - wj, n1 + wj + 1)
         # Window maxima per dk, same-dk bands merged by max; a masked-off band
         # reads as the sentinel, like a move that leaves the grid.
+        win: dict[tuple[int, int], np.ndarray] = {}
         ys: dict[int, np.ndarray] = {}
         on: dict[int, bool | np.ndarray] = {}  # where some band of dk applies; True: everywhere
         for dk, blo, bhi, mask in _clipped_bands(spec, rule, j):
-            y = shift_row(U[j + blo: j + bhi + 1].max(axis=0), dk, -_BIG)
+            if (blo, bhi) not in win:
+                if blo < 1 or bhi > D:  # the buffer holds rows j+1 .. j+D only
+                    raise ValueError(f"band {(dk, blo, bhi)} leaves 1 <= dj <= max_dj={rule.max_dj}")
+                win[blo, bhi] = buf[pos + blo - 1: pos + bhi].max(axis=0)
+            y = shift_row(win[blo, bhi], dk, -_BIG)
             if mask is None:
                 mask = True
             else:
-                y[~mask] = -_BIG
+                y[..., ~mask] = -_BIG
             if dk in ys:
                 ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
             else:
                 ys[dk], on[dk] = y, mask
-        C = np.full(W, -_BIG)
+        C = np.full(Z.shape, -_BIG)
         for a in (d for d in ys if d >= 0):
             ea = em1[a]
             for b in (d for d in ys if d <= 0 and d < a):
@@ -253,72 +259,103 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray):
         if 0 in ys:
             # Flat moves only: the degenerate hull takes the best flat value.
             C = np.where(C <= _INVALID, ys[0], C)
-        lo = np.full(W, -np.inf)
-        hi = np.full(W, np.inf)
-        for a in (d for d in ys if d > 0):
-            np.maximum(lo, (ys[a] - C) / (prices * em1[a]), out=lo)
-        for b in (d for d in ys if d < 0):
-            np.minimum(hi, (ys[b] - C) / (prices * em1[b]), out=hi)
 
         ok = C > _INVALID
-        Uj = np.where(ok, C, np.nan)
-        Sj = np.where(ok, np.minimum(np.maximum(0.0, lo), hi), np.nan)
-        Pj = np.where(ok, np.int8(PROV_CONTINUATION), np.int8(0))
-
+        V = np.where(ok, C, np.nan)
+        stop = None
         if j in lam:
             # Forced liquidation where no move is left (a NaN target is a
             # move); elsewhere stop where the payoff beats continuation.
             stuck = ~ok
             for y in ys.values():
                 stuck &= y <= _INVALID
-            stop = stuck | (Z > Uj)  # NaN-safe: comparisons with NaN are False
-            Uj = np.where(stop, Z, Uj)
-            Sj[stuck] = 0.0
+            stop = stuck | (Z > V)  # NaN-safe: comparisons with NaN are False
+            V = np.where(stop, Z, V)
+        wj = spec.column_half_width(j)
+        V[..., : n1 - wj] = -_BIG
+        V[..., n1 + wj + 1:] = -_BIG
+
+        yield j, V, ys, C, stop
+        if pos == 0:
+            buf[D + 1:] = buf[: D - 1]
+            pos = D + 1
+        pos -= 1
+        buf[pos] = V
+
+
+def _terminal_surfaces(grid: Grid, Z: np.ndarray):
+    """Stacked (lanes, n2+1, W) value, slope and provenance surfaces, filled
+    on the terminal column only; NaN and provenance 0 elsewhere."""
+    shape = (Z.shape[0], grid.spec.n2 + 1, grid.spec.width)
+    U, S, P = np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape, dtype=np.int8)
+    U[:, -1], S[:, -1], P[:, -1] = Z, 0.0, PROV_TERMINAL_PAYOFF
+    return U, S, P
+
+
+def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
+    """Full (lanes, n2+1, W) value, slope and provenance surfaces of :func:`_sweep_banded`.
+
+    The slope at a priced vertex is the support slope nearest zero of its
+    continuation over every dk's window maximum; a forced stop has slope 0.
+    """
+    spec = grid.spec
+    n1 = spec.n1
+    U, S, P = _terminal_surfaces(grid, Z)
+    prices = grid.prices
+    for j, V, ys, C, stop in _sweep_banded(grid, rule, Z):
+        lo = np.full(Z.shape, -np.inf)
+        hi = np.full(Z.shape, np.inf)
+        for a in (d for d in ys if d > 0):
+            np.maximum(lo, (ys[a] - C) / (prices * math.expm1(a * spec.delta)), out=lo)
+        for b in (d for d in ys if d < 0):
+            np.minimum(hi, (ys[b] - C) / (prices * math.expm1(b * spec.delta)), out=hi)
+        ok = C > _INVALID
+        Sj = np.where(ok, np.minimum(np.maximum(0.0, lo), hi), np.nan)
+        Pj = np.where(ok, np.int8(PROV_CONTINUATION), np.int8(0))
+        if stop is not None:
+            Sj[stop & ~ok] = 0.0  # forced stop: no move is left
             Pj = np.where(stop, np.int8(PROV_Q_MAX), Pj)
-
-        U[j, col] = Uj[col]
-        slope[j, col] = Sj[col]
-        prov[j, col] = Pj[col]
-
-    U[np.abs(np.arange(-n1, n1 + 1)) > grid.half_widths[:, None]] = np.nan
-    return U, slope, prov
+        wj = spec.column_half_width(j)
+        col = slice(n1 - wj, n1 + wj + 1)
+        U[:, j, col] = V[:, col]
+        S[:, j, col] = Sj[:, col]
+        P[:, j, col] = Pj[:, col]
+    return U, S, P
 
 
 def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray):
-    """Reference per-vertex sweep with identical semantics to the banded one."""
+    """Reference per-vertex sweep with identical semantics to the banded one.
+
+    Takes the same stacked terminal rows and returns the same stacked
+    surfaces as :func:`_banded_surfaces`, one lane at a time.
+    """
     spec = grid.spec
-    n1, n2, W = spec.n1, spec.n2, spec.width
+    n1, n2 = spec.n1, spec.n2
     lam = set(spec.lam)
-    U = np.full((n2 + 1, W), np.nan)
-    slope = np.full((n2 + 1, W), np.nan)
-    prov = np.zeros((n2 + 1, W), dtype=np.int8)
-    wterm = spec.column_half_width(n2)
-    term = slice(n1 - wterm, n1 + wterm + 1)
-    U[n2, term] = Z[term]
-    slope[n2, term] = 0.0
-    prov[n2, term] = PROV_TERMINAL_PAYOFF
-    for j in range(n2 - 1, -1, -1):
-        in_lam = j in lam
-        for k in grid.column_ks(j):
-            i = k + n1
-            succ = reachable(spec, rule, (k, j))
-            if not succ:
-                if in_lam:  # forced liquidation: the trajectory has nowhere to go
-                    U[j, i], slope[j, i], prov[j, i] = Z[i], 0.0, PROV_Q_MAX
-                continue
-            s = grid.price(k)
-            pts = [HullPoint(grid.price(kk), float(U[jj, kk + n1])) for kk, jj in succ]
-            if any(math.isnan(p.y) for p in pts):
-                continue
-            try:
-                sol = hull_fast([p for p in pts if p.x > s], [p for p in pts if p.x <= s], s)
-            except NotZeroNeutralError:
-                continue
-            val, pv = sol.value, PROV_CONTINUATION
-            if in_lam and Z[i] > val:
-                val, pv = Z[i], PROV_Q_MAX
-            U[j, i], slope[j, i], prov[j, i] = val, sol.slope, pv
-    return U, slope, prov
+    Us, slopes, provs = _terminal_surfaces(grid, Z)
+    for U, slope, prov, Zl in zip(Us, slopes, provs, Z):
+        for j in range(n2 - 1, -1, -1):
+            in_lam = j in lam
+            for k in grid.column_ks(j):
+                i = k + n1
+                succ = reachable(spec, rule, (k, j))
+                if not succ:
+                    if in_lam:  # forced liquidation: the trajectory has nowhere to go
+                        U[j, i], slope[j, i], prov[j, i] = Zl[i], 0.0, PROV_Q_MAX
+                    continue
+                s = grid.price(k)
+                pts = [HullPoint(grid.price(kk), float(U[jj, kk + n1])) for kk, jj in succ]
+                if any(math.isnan(p.y) for p in pts):
+                    continue
+                try:
+                    sol = hull_fast([p for p in pts if p.x > s], [p for p in pts if p.x <= s], s)
+                except NotZeroNeutralError:
+                    continue
+                val, pv = sol.value, PROV_CONTINUATION
+                if in_lam and Zl[i] > val:
+                    val, pv = Zl[i], PROV_Q_MAX
+                U[j, i], slope[j, i], prov[j, i] = val, sol.slope, pv
+    return Us, slopes, provs
 
 
 def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "banded") -> BoundsGrid:
@@ -326,10 +363,12 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
 
     ``method='banded'`` runs the vectorized sweep (rules must expose column
     bands); ``'generic'`` runs the per-vertex reference sweep.  The payoff
-    is read once, as the terminal row; the lower bound is the negated upper
-    bound of the negated row, computed by the same code path.  Since the
-    upper sweep takes max(payoff, continuation) on intermediate liquidation
-    columns, the lower bound takes min(payoff, continuation) there.
+    is read once, as the terminal row ``Z``; one pass over the stacked rows
+    ``[Z, -Z]`` gives the upper bound and the negated lower bound by the same
+    code path.  Since the upper sweep takes max(payoff, continuation) on
+    intermediate liquidation columns, the lower bound takes min(payoff,
+    continuation) there.  Unlike :func:`price`, it keeps the full value,
+    slope and provenance surfaces, which hedging reads.
 
     Both sweeps price every vertex they can, reachable from (0, 0) or not,
     and leave the rest NaN.  An unpriced reachable vertex leaves the root
@@ -337,31 +376,39 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
     the :class:`NotZeroNeutralError`: the reachable unpriced one of highest
     ``j``, then lowest ``k``.
     """
-    sweep = _sweep_banded if method == "banded" else _sweep_generic
+    sweep = _banded_surfaces if method == "banded" else _sweep_generic
     Z = _terminal_row(grid, payoff)
-    upper, slope_up, prov = sweep(grid, rule, Z)
+    U, slope, prov = sweep(grid, rule, np.stack([Z, -Z]))
     n1 = grid.spec.n1
-    if math.isnan(upper[0, n1]):
-        bad = reachable_masks(grid.spec, rule) & np.isnan(upper)
+    if math.isnan(U[0, 0, n1]):
+        bad = reachable_masks(grid.spec, rule) & np.isnan(U[0])
         j = int(np.flatnonzero(bad.any(axis=1))[-1])
         raise NotZeroNeutralError((int(np.flatnonzero(bad[j])[0]) - n1, j))
-    lower, slope_dn, _ = sweep(grid, rule, -Z)
-    np.negative(lower, out=lower)
-    return BoundsGrid(grid, payoff, upper, lower, slope_up, slope_dn, prov)
+    np.negative(U[1], out=U[1])
+    return BoundsGrid(grid, payoff, U[0], U[1], slope[0], slope[1], prov[0])
 
 
 def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:
     """(lower, upper) worst-case price interval at the root vertex (0, 0).
 
-    The sweep decides validity; only an unpriced root runs the
-    :func:`validate_model` audit, which raises its ``ModelValidationError``.
+    One banded pass over ``[Z, -Z]`` that holds only the next ``max_dj``
+    rows (in a buffer of twice that) and keeps the root; it builds no
+    surface and no slope.  The sweep decides validity: an unpriced root
+    reruns :func:`compute_bounds` to name the vertex, then the
+    :func:`validate_model` audit raises its ``ModelValidationError``.
     """
-    try:
-        bounds = compute_bounds(build_grid(spec), rule, payoff)
-    except NotZeroNeutralError:
-        validate_model(spec, rule).raise_if_failed()
-        raise
-    return bounds.price_interval()
+    grid = build_grid(spec)
+    Z = _terminal_row(grid, payoff)
+    for _, V, *_ in _sweep_banded(grid, rule, np.stack([Z, -Z])):
+        pass
+    hi, lo = V[:, spec.n1].tolist()
+    if math.isnan(hi):
+        try:
+            compute_bounds(grid, rule, payoff)
+        except NotZeroNeutralError:
+            validate_model(spec, rule).raise_if_failed()
+            raise
+    return -lo, hi
 
 
 def inject_arbitrage(rule: TransitionRule, fraction: float, seed: int) -> ModifiedRule:

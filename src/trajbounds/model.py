@@ -362,31 +362,29 @@ class ModifiedRule(TransitionRule):
             cache[key] = got
         return got
 
-    def _column_masks(self, spec: GridSpec) -> np.ndarray:
-        cache = self._cache  # type: ignore[attr-defined]
-        key = ("mask", spec.n1, spec.n2, spec.p)
-        got = cache.get(key)
-        if got is None:
-            got = np.zeros((spec.n2 + 1, spec.width), dtype=bool)
-            for k, j in self.selection(spec):
-                got[j, k + spec.n1] = True
-            cache[key] = got
-        return got
-
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
         if (k, j) in self.selection(spec):
             return self._mod_bands(k)
         return self.base.bands_at(spec, k, j)
 
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
-        sel = self._column_masks(spec)[j]
-        if not sel.any():
-            return self.base.column_bands(spec, j)
-        ks = np.arange(-spec.n1, spec.n1 + 1)
-        pos, neg = sel & (ks >= 0), sel & (ks < 0)
-        return ([(dk, lo, hi, ~sel) for dk, lo, hi in self.base.bands()]
-                + [(dk, lo, hi, pos) for dk, lo, hi in self._mod_bands(0)]
-                + [(dk, lo, hi, neg) for dk, lo, hi in self._mod_bands(-1)])
+        # Built once per grid shape, like the selection; callers must not mutate them.
+        cache = self._cache  # type: ignore[attr-defined]
+        key = ("bands", spec.n1, spec.n2, spec.p)
+        got = cache.get(key)
+        if got is None:
+            sel = np.zeros((spec.n2 + 1, spec.width), dtype=bool)
+            for k, jj in self.selection(spec):
+                sel[jj, k + spec.n1] = True
+            ks = np.arange(-spec.n1, spec.n1 + 1)
+            rest, pos, neg = ~sel, sel & (ks >= 0), sel & (ks < 0)
+            got = [[(dk, lo, hi, rest[jj]) for dk, lo, hi in self.base.bands()]
+                   + [(dk, lo, hi, pos[jj]) for dk, lo, hi in self._mod_bands(0)]
+                   + [(dk, lo, hi, neg[jj]) for dk, lo, hi in self._mod_bands(-1)]
+                   if any_sel else self.base.column_bands(spec, jj)
+                   for jj, any_sel in enumerate(sel.any(axis=1).tolist())]
+            cache[key] = got
+        return got[j]
 
 
 # --------------------------------------------------------------------------- #
@@ -446,15 +444,15 @@ def _class_from_flags(up: bool, dn: bool, flat: bool) -> NodeClass:
 # --------------------------------------------------------------------------- #
 
 def shift_row(arr: np.ndarray, dk: int, fill) -> np.ndarray:
-    """out[i] = arr[i + dk], padded with ``fill``."""
+    """out[..., i] = arr[..., i + dk] along the last axis, padded with ``fill``."""
     out = np.full_like(arr, fill)
-    w = arr.shape[0]
+    w = arr.shape[-1]
     if dk >= 0:
         if dk < w:
-            out[: w - dk] = arr[dk:]
+            out[..., : w - dk] = arr[..., dk:]
     else:
         if -dk < w:
-            out[-dk:] = arr[: w + dk]
+            out[..., -dk:] = arr[..., : w + dk]
     return out
 
 

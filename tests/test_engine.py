@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +449,58 @@ class TestComputeBounds:
         ref = compute_bounds(grid, rule, CALL, method=method)
         for name in ("upper", "lower", "slope_up", "slope_dn", "prov"):
             assert np.array_equal(getattr(b, name), getattr(ref, name), equal_nan=True)
+
+
+class TestPriceOnly:
+    def test_price_holds_no_surface(self):
+        # A (N2+1) x (2N1+1) float surface at N2 = 2000 alone is 122 MiB.
+        rule = bjn_rule()
+        spec = spec_from_total_variance(rule, 1.0, V0, 2000)
+        tracemalloc.start()
+        try:
+            price(spec, rule, CALL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_price_equals_compute_bounds_bitwise(self):
+        rules = [MARule(p, allow_flat=f) for p in (1, 2, 3, 8) for f in (False, True)]
+        rules += [MBRule(p_max=3, A=2), DoubleStepRule(), FlatTailRule(), OverlapRule()]
+        rules += [inject_arbitrage(MARule(3, allow_flat=f), fraction, seed)
+                  for f in (False, True) for fraction in (0.1, 0.3) for seed in (1, 7)]
+        grids = [(10, 10, None), (10, 10, (4, 7, 10)), (5, 12, None), (5, 12, (6, 12))]
+        priced = 0
+        for rule in rules:
+            for n1, n2, lam in grids:
+                spec = unit_spec(rule, n1, n2, lam=lam)
+                for z in (CALL, PUT, Payoff.butterfly(0.95, 1.1)):
+                    case = (rule, n1, n2, lam, z)
+                    try:
+                        want = compute_bounds(build_grid(spec), rule, z).price_interval()
+                    except NotZeroNeutralError:
+                        with pytest.raises(ModelValidationError):
+                            price(spec, rule, z)
+                        continue
+                    assert np.array(price(spec, rule, z)).tobytes() == np.array(want).tobytes(), case
+                    priced += 1
+        assert priced > 150
+
+    def test_flat_zero_sign_pinned(self):
+        # A window maximum taken in reversed row order gives -0.0 here.
+        rule = inject_arbitrage(MARule(3, allow_flat=True), 0.3, 12)
+        spec = spec_for_rule(rule, 1.0, 0.05, 0.05, 40, 40)
+        lo, _ = price(spec, rule, Payoff.butterfly(0.95, 1.1))
+        assert lo == 0.0 and math.copysign(1.0, lo) == 1.0
+
+    def test_band_past_max_dj_rejected(self):
+        # The sweep keeps only the next max_dj rows, so a longer band is an error.
+        class Understated(OverlapRule):
+            max_dj = 2
+
+        rule = Understated()
+        with pytest.raises(ValueError, match=r"band \(1, 2, 3\)"):
+            price(unit_spec(rule, 4, 4), rule, CALL)
 
 
 class TestInjectArbitrage:
