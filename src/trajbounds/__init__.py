@@ -21,21 +21,16 @@ from .model import (
     validate_model,
 )
 from .grid import BoundsGrid, Grid, Payoff, build_grid, payoff_eval
-from .engine import (
+from .engine import band_bounds, compute_bounds, inject_arbitrage, price
+from .oracle import (
     HullPoint,
     LocalSolution,
-    band_bounds,
-    compute_bounds,
-    convex_hull_step,
-    hull_fast,
-    inject_arbitrage,
-    price,
-)
-from .oracle import (
     OracleReport,
     black_scholes,
     brute_force_upper,
+    convex_hull_step,
     crr_binomial,
+    hull_fast,
     merton_envelope,
 )
 from .hedge import (

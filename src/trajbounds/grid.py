@@ -152,6 +152,15 @@ _PROV_NAMES = {
 }
 
 
+def _terminal_surfaces(grid: Grid, Z: np.ndarray):
+    """Stacked (lanes, n2+1, W) value, slope and provenance surfaces, filled
+    on the terminal column only; NaN and provenance 0 elsewhere."""
+    shape = (Z.shape[0], grid.spec.n2 + 1, grid.spec.width)
+    U, S, P = np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape, dtype=np.int8)
+    U[:, -1], S[:, -1], P[:, -1] = Z, 0.0, PROV_TERMINAL_PAYOFF
+    return U, S, P
+
+
 class BoundsGrid:
     """Per-vertex upper/lower bounds with the hedge slopes that attain them.
 

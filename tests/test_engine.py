@@ -14,6 +14,7 @@ from trajbounds.engine import (
 )
 from trajbounds.grid import Payoff, build_grid
 from trajbounds.oracle import brute_force_upper
+from trajbounds import oracle
 from trajbounds.model import (
     BinomialBandRule,
     MARule,
@@ -450,6 +451,12 @@ class TestComputeBounds:
         for name in ("upper", "lower", "slope_up", "slope_dn", "prov"):
             assert np.array_equal(getattr(b, name), getattr(ref, name), equal_nan=True)
 
+    def test_unknown_method_rejected(self):
+        rule = MARule(2)
+        grid = build_grid(unit_spec(rule, 4, 4))
+        with pytest.raises(ValueError, match="'banded' or 'generic'"):
+            compute_bounds(grid, rule, CALL, method="bogus")
+
 
 class TestPriceOnly:
     def test_price_holds_no_surface(self):
@@ -558,3 +565,54 @@ class TestBandLattice:
             BinomialBandRule(0.9, 1.1)
         with pytest.raises(ValueError):
             band_bounds(BinomialBandRule(1.1, 0.9), 0, 1.0, CALL)
+
+    @pytest.mark.parametrize("payoff", [
+        Payoff.call(math.nan), Payoff.put(math.inf), Payoff.put(6e299),
+    ], ids=["nan", "inf", "sentinel_sized"])
+    def test_bad_payoff_rejected(self, payoff):
+        with pytest.raises(ValueError, match="price level k="):
+            band_bounds(BinomialBandRule(1.1, 0.9, levels=3), 3, 1.0, payoff)
+
+    @pytest.mark.parametrize("s0", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_s0_rejected(self, s0):
+        with pytest.raises(ValueError, match="s0"):
+            band_bounds(BinomialBandRule(1.1, 0.9), 3, s0, CALL)
+
+    def test_no_up_move_not_zero_neutral(self):
+        # u is one ulp above 1: rounding puts the top level at or below s.
+        rule = BinomialBandRule(float(np.nextafter(1.0, 2.0)), 0.5, levels=5)
+        with pytest.raises(NotZeroNeutralError):
+            band_bounds(rule, 2, 1.0, CALL)
+
+    @pytest.mark.parametrize("levels", [3, 5, 7])
+    @pytest.mark.parametrize("payoff", [CALL, PUT, BFLY], ids=["call", "put", "butterfly"])
+    def test_matches_per_node_hull(self, levels, payoff):
+        rule = BinomialBandRule(1.1, 0.9, levels=levels)
+        lo, hi = band_bounds(rule, 6, 1.0, payoff)
+        ref_lo, ref_hi = per_node_band_bounds(rule, 6, 1.0, payoff)
+        assert lo <= hi
+        assert lo == pytest.approx(ref_lo, rel=1e-12)
+        assert hi == pytest.approx(ref_hi, rel=1e-12)
+
+
+def per_node_band_bounds(rule, steps, s0, payoff):
+    """Reference band lattice: one oracle hull step per node."""
+    L = rule.levels
+    rho = (rule.u / rule.d) ** (1.0 / (L - 1))
+
+    def at(i, m):
+        return s0 * rule.d ** i * rho ** m
+
+    def root(values):
+        for i in range(steps - 1, -1, -1):
+            cur = []
+            for m in range(i * (L - 1) + 1):
+                s = at(i, m)
+                pts = [(at(i + 1, m + t), values[m + t]) for t in range(L)]
+                sol = oracle.hull_fast([q for q in pts if q[0] > s], [q for q in pts if q[0] <= s], s)
+                cur.append(sol.value)
+            values = cur
+        return values[0]
+
+    z = [payoff.value_at(at(steps, m)) for m in range(steps * (L - 1) + 1)]
+    return -root([-v for v in z]), root(z)
