@@ -3,7 +3,8 @@
 Every run is fully determined by (config, seed): scan points are computed in
 task order, floats are serialized with shortest round-trip ``repr``, and the
 chart writer is byte-stable.  Exit codes: 0 success, 1 model validation
-failure, 2 config error.
+failure, 2 config error: a malformed config, or any value that the model,
+grid or payoff rejects.  Only :func:`main` maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -118,10 +119,7 @@ def build_rule(cfg: ExperimentConfig, p: int | None = None) -> TransitionRule:
         a = int(cfg.get("A", 1))
         if "p_eta" in cfg.values and "p" not in cfg.values:
             p = round(a * float(cfg.require("p_eta")))
-        try:
-            return MBRule(p_max=p, A=a, allow_flat=allow_flat)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        return MBRule(p_max=p, A=a, allow_flat=allow_flat)
     raise ConfigError(f"unknown model {cfg.get('model')!r}")
 
 
@@ -141,10 +139,7 @@ def build_spec(cfg: ExperimentConfig, rule: TransitionRule,
     if "q" in cfg.values and int(cfg.values["q"]) != rule.max_dj:
         raise ConfigError(f"q = {cfg.values['q']} contradicts the model's derived "
                           f"variation cap {rule.max_dj}; omit it")
-    try:
-        return spec_for_rule(rule, s0=s0, delta=delta, beta=beta, n1=n1, n2=n2, lam=lam)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return spec_for_rule(rule, s0=s0, delta=delta, beta=beta, n1=n1, n2=n2, lam=lam)
 
 
 def build_payoff(cfg: ExperimentConfig, kind: str | None = None) -> Payoff:
@@ -180,13 +175,17 @@ def config_text(rule: TransitionRule, spec: GridSpec, payoff: Payoff | None = No
     return "\n".join(lines) + "\n"
 
 
-def _bs_price(cfg: ExperimentConfig, s0: float):
+def _references(cfg: ExperimentConfig, payoff: Payoff, s0: float) -> tuple:
+    """(merton_lb, merton_ub, bs_price) of a call or put at s0, the last one
+    only when the config sets sigma and T; blank cells for any other payoff."""
+    if payoff.kind not in ("CALL", "PUT"):
+        return "", "", ""
+    mlb, mub = oracle.merton_envelope(payoff.kind, s0, payoff.k1)
+    bs = ""
     if "sigma" in cfg.values and "T" in cfg.values:
-        kind = "PUT" if str(cfg.get("payoff", "call")).lower() == "put" else "CALL"
-        return oracle.black_scholes(s0, float(cfg.get("K", 1.0)),
-                                    float(cfg.require("sigma")), float(cfg.require("T")),
-                                    kind)
-    return None
+        bs = oracle.black_scholes(s0, payoff.k1, float(cfg.require("sigma")),
+                                  float(cfg.require("T")), payoff.kind)
+    return mlb, mub, bs
 
 
 # --------------------------------------------------------------------------- #
@@ -198,29 +197,24 @@ def cmd_price(cfg: ExperimentConfig):
     spec = build_spec(cfg, rule)
     payoff = build_payoff(cfg)
     lo, hi = engine.price(spec, rule, payoff)
-    kind = "PUT" if payoff.kind == "PUT" else "CALL"
-    mlb, mub = oracle.merton_envelope(kind, spec.s0, float(cfg.get("K", 1.0))) \
-        if payoff.kind in ("CALL", "PUT") else ("", "")
-    bs = _bs_price(cfg, spec.s0)
     header = ["model", "p", "N2", "s0", "payoff", "lower", "upper",
               "merton_lb", "merton_ub", "bs_price"]
     row = [rule.kind, rule.p, spec.n2, spec.s0, payoff.kind, lo, hi,
-           mlb, mub, "" if bs is None else bs]
+           *_references(cfg, payoff, spec.s0)]
     return header, [row], None
 
 
 def cmd_converge(cfg: ExperimentConfig):
     p_list = cfg.get("p_list", (2, 3, 5))
     n2_list = cfg.get("N2_list", tuple(range(20, 201, 20)))
-    payoff_kind = str(cfg.get("payoff", "call"))
+    payoff = build_payoff(cfg)
     rows = []
     for p in p_list:
         rule = build_rule(cfg, p=p)
         for n2 in n2_list:
             spec = build_spec(cfg, rule, n2=n2)
-            lo, hi = engine.price(spec, rule, build_payoff(cfg, payoff_kind))
-            bs = _bs_price(cfg, spec.s0)
-            rows.append([rule.kind, p, n2, lo, hi, "" if bs is None else bs])
+            lo, hi = engine.price(spec, rule, payoff)
+            rows.append([rule.kind, p, n2, lo, hi, _references(cfg, payoff, spec.s0)[2]])
     header = ["model", "p", "N2", "lower", "upper", "bs_price"]
     chart = charts.ChartSpec(x="N2", ys=("lower", "upper"), series=("p",),
                              title="price bounds vs N2", x_label="N2", y_label="price")
@@ -230,15 +224,13 @@ def cmd_converge(cfg: ExperimentConfig):
 def cmd_merton_scan(cfg: ExperimentConfig):
     s0_list = cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2))
     n2 = int(cfg.get("N2", 100))
-    strike = float(cfg.get("K", 1.0))
-    payoff_kind = str(cfg.get("payoff", "call"))
     rule = build_rule(cfg)
+    payoff = build_payoff(cfg)
     rows = []
     for s0 in s0_list:
         spec = build_spec(cfg, rule, n2=n2, s0=s0)
-        lo, hi = engine.price(spec, rule, build_payoff(cfg, payoff_kind))
-        mlb, mub = oracle.merton_envelope(payoff_kind.upper(), s0, strike)
-        rows.append([s0, lo, hi, mlb, mub])
+        lo, hi = engine.price(spec, rule, payoff)
+        rows.append([s0, lo, hi, *_references(cfg, payoff, s0)[:2]])
     header = ["s0", "lower", "upper", "merton_lb", "merton_ub"]
     chart = charts.ChartSpec(x="s0", ys=("lower", "upper", "merton_lb", "merton_ub"),
                              title=f"bounds vs s0 (p={rule.p})", x_label="s0",
@@ -250,16 +242,16 @@ def cmd_arbitrage_scan(cfg: ExperimentConfig):
     fractions = cfg.get("fraction_list", (0.0, 0.1, 0.3))
     s0_list = cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2))
     n2 = int(cfg.get("N2", 100))
-    strike = float(cfg.get("K", 1.0))
     seed = int(cfg.get("seed", 0))
     base = build_rule(cfg)
+    payoff = build_payoff(cfg)
     rows = []
     for frac in fractions:
         rule = engine.inject_arbitrage(base, float(frac), seed) if frac > 0 else base
         for s0 in s0_list:
             spec = build_spec(cfg, rule, n2=n2, s0=s0)
-            lo, hi = engine.price(spec, rule, build_payoff(cfg))
-            rows.append([frac, s0, lo, hi, oracle.merton_envelope("CALL", s0, strike)[0]])
+            lo, hi = engine.price(spec, rule, payoff)
+            rows.append([frac, s0, lo, hi, _references(cfg, payoff, s0)[0]])
     header = ["fraction", "s0", "lower", "upper", "merton_lb"]
     chart = charts.ChartSpec(x="s0", ys=("lower", "upper"), series=("fraction",),
                              title="bounds vs s0 under arbitrage nodes",
@@ -391,12 +383,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             cfg.values["seed"] = int(args.seed)
         header, rows, chart = _COMMANDS[args.command](cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except ModelValidationError as e:
         print(f"validation failure: {e}", file=sys.stderr)
         return 1
+    except (ValueError, ArithmeticError) as e:  # ConfigError, or a value the model rejects
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

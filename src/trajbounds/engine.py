@@ -228,19 +228,17 @@ def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:
     One banded pass over ``[Z, -Z]`` that holds only the next ``max_dj``
     rows (in a buffer of twice that) and keeps the root; it builds no
     surface and no slope.  The sweep decides validity: an unpriced root
-    reruns :func:`compute_bounds` to name the vertex, then the
-    :func:`validate_model` audit raises its ``ModelValidationError``.
+    has a reachable unpriced vertex whose successors are all priced, which
+    the :func:`validate_model` audit codes not 0-neutral and raises as its
+    ``ModelValidationError``.
     """
     grid = build_grid(spec)
     for _, V, *_ in _sweep_banded(grid, rule, _terminal_rows(payoff, grid.prices.tolist(), -spec.n1)):
         pass
     hi, lo = V[:, spec.n1].tolist()
     if math.isnan(hi):
-        try:
-            compute_bounds(grid, rule, payoff)
-        except NotZeroNeutralError:
-            validate_model(spec, rule).raise_if_failed()
-            raise
+        validate_model(spec, rule).raise_if_failed()
+        raise NotZeroNeutralError()
     return -lo, hi
 
 

@@ -188,6 +188,22 @@ class TransitionRule:
         return [(dk, lo, hi, None) for dk, lo, hi in self.bands()]
 
 
+def _quadratic_bands(p: int, a: int, allow_flat: bool) -> tuple[Band, ...]:
+    """Bands of ``0 < |dk| <= p`` (``dk = 0`` too with flats) and
+    ``max(|dk|, dk**2 / a) <= dj <= p**2 / a`` in integers: MB with
+    horizon ``a``, and MA when ``a = 1``."""
+    out: list[Band] = []
+    hi = (p ** 2) // a
+    for dk in range(-p, p + 1):
+        if dk == 0 and not allow_flat:
+            continue
+        m = abs(dk)
+        lo = max(m, -(-(m * m) // a), 1)  # ceil(m^2 / a)
+        if lo <= hi:
+            out.append((dk, lo, hi))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MARule(TransitionRule):
     """Jump-bounded quadratic-variation rule: dj between dk**2 and p**2.
@@ -219,15 +235,7 @@ class MARule(TransitionRule):
         return self.p_max ** 2
 
     def bands(self) -> tuple[Band, ...]:
-        out: list[Band] = []
-        hi = self.p_max ** 2
-        for dk in range(-self.p_max, self.p_max + 1):
-            if dk == 0 and not self.allow_flat:
-                continue
-            lo = max(dk * dk, 1)
-            if lo <= hi:
-                out.append((dk, lo, hi))
-        return tuple(out)
+        return _quadratic_bands(self.p_max, 1, self.allow_flat)
 
 
 def bjn_rule() -> MARule:
@@ -269,16 +277,7 @@ class MBRule(TransitionRule):
         return (self.p_max ** 2) // self.A
 
     def bands(self) -> tuple[Band, ...]:
-        out: list[Band] = []
-        hi = self.max_dj
-        for dk in range(-self.p_max, self.p_max + 1):
-            if dk == 0 and not self.allow_flat:
-                continue
-            m = abs(dk)
-            lo = max(m, -(-(m * m) // self.A), 1)  # ceil(m^2 / A)
-            if lo <= hi:
-                out.append((dk, lo, hi))
-        return tuple(out)
+        return _quadratic_bands(self.p_max, self.A, self.allow_flat)
 
 
 @dataclass(frozen=True)
@@ -350,11 +349,7 @@ class ModifiedRule(TransitionRule):
         key = ("sel", spec.n1, spec.n2, spec.p)
         got = cache.get(key)
         if got is None:
-            reach = reachable_masks(spec, self.base)
-            pool: list[Vertex] = []
-            for j in range(spec.n2):
-                row = np.flatnonzero(reach[j])
-                pool.extend((int(i) - spec.n1, j) for i in row)
+            pool = _vertex_list(spec, reachable_masks(spec, self.base)[:spec.n2])
             rng = np.random.default_rng(self.seed)
             order = rng.permutation(len(pool))
             n_sel = int(round(self.fraction * len(pool)))

@@ -77,7 +77,17 @@ class TestExitCodes:
         ("price", "model = bjn\nN2 = 710\ndelta = 1\n"),
         ("price", "model = bjn\nN2 = 200\ndelta = 0.1\ns0 = 1e300\n"),
         ("merton-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nworkers = 2\n"),
-    ], ids=["n_paths_negative", "n_paths_zero", "exp_overflow", "s0_overflow", "workers"])
+        ("price", "model = ma\np = 0\nN2 = 10\nv0 = 0.0067\n"),
+        ("price", "model = bjn\nN2 = 10\nv0 = 0.0067\npayoff = butterfly\nK1 = 1.1\nK2 = 1.0\n"),
+        ("price", "model = bjn\nN2 = 10\nv0 = 0.0067\nK = nan\n"),
+        ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nfraction_list = 0.0,1.5\n"),
+        ("vol-scan", "vol_unit = 0\nvol_steps = 2\n"),
+        ("price", "model = bjn\nN2 = 10\nv0 = -1\n"),
+        ("price", "model = bjn\nN2 = 0\nv0 = 0.0067\n"),
+        ("vol-scan", "vol_ref_steps = 0\nvol_steps = 2\n"),
+    ], ids=["n_paths_negative", "n_paths_zero", "exp_overflow", "s0_overflow", "workers",
+            "p_zero", "butterfly_strikes_reversed", "strike_nan", "fraction_above_one",
+            "vol_unit_zero", "v0_negative", "n2_zero", "vol_ref_steps_zero"])
     def test_config_error_exit(self, tmp_path, capsys, command, text):
         cfg = write_cfg(tmp_path / "a.cfg", text)
         out = tmp_path / "out"
@@ -134,6 +144,31 @@ class TestCommands:
         for r in rows:
             assert float(r["merton_lb"]) - 1e-9 <= float(r["lower"])
             assert float(r["upper"]) <= float(r["merton_ub"]) + 1e-9
+
+    def test_price_butterfly_has_no_references(self, tmp_path):
+        cfg = write_cfg(tmp_path / "a.cfg", BASE_CFG.replace("payoff = call", "payoff = butterfly"))
+        assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "price.csv", newline="") as f:
+            row = next(csv.DictReader(f))
+        assert row["payoff"] == "BUTTERFLY"
+        assert row["merton_lb"] == row["merton_ub"] == row["bs_price"] == ""
+
+    def test_merton_scan_butterfly_has_no_references(self, tmp_path):
+        cfg = write_cfg(tmp_path / "a.cfg", "model = bjn\nN2 = 10\nv0 = 0.0067\n"
+                        "payoff = butterfly\ns0_list = 0.9,1.1\n")
+        assert main(["merton-scan", "--config", cfg, "--out", str(tmp_path), "--svg"]) == 0
+        with open(tmp_path / "merton_scan.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(r["merton_lb"] == r["merton_ub"] == "" for r in rows)
+
+    def test_arbitrage_scan_put_envelope(self, tmp_path):
+        cfg = write_cfg(tmp_path / "a.cfg", "model = bjn\nN2 = 10\nv0 = 0.0067\npayoff = put\n"
+                        "K = 1.0\ns0_list = 0.9,1.1\nfraction_list = 0\n")
+        assert main(["arbitrage-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "arbitrage_scan.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["merton_lb"]) for r in rows] == [max(1.0 - s0, 0.0) for s0 in (0.9, 1.1)]
 
     def test_arbitrage_scan_lower_monotone(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg",

@@ -493,6 +493,19 @@ class TestPriceOnly:
                     priced += 1
         assert priced > 150
 
+    def test_failing_price_runs_only_the_audit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("trajbounds.engine.compute_bounds",
+                            lambda *args, **kwargs: calls.append(args))
+        rule = MARule(3)
+        spec = unit_spec(rule, 5, 10)
+        with pytest.raises(ModelValidationError) as got:
+            price(spec, rule, CALL)
+        assert calls == []
+        with pytest.raises(ModelValidationError) as want:
+            validate_model(spec, rule).raise_if_failed()
+        assert str(got.value) == str(want.value)
+
     def test_flat_zero_sign_pinned(self):
         # A window maximum taken in reversed row order gives -0.0 here.
         rule = inject_arbitrage(MARule(3, allow_flat=True), 0.3, 12)

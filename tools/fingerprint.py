@@ -1,0 +1,147 @@
+"""Bitwise fingerprint of the engine's observable results, one sha256 per case family.
+
+A case family is one rule on one grid shape (``n2``, ``n1``, liquidation
+columns).  Its hash covers, for that spec:
+
+* the ``validate_model`` report (counts, class codes, arbitrage, not-0-neutral
+  and unlandable vertices, ``ok``, summary text) and the ``reachable`` list of
+  every in-grid vertex (every fourth column when ``n2 > 9``);
+* for each payoff, the five ``compute_bounds`` arrays by ``tobytes``, for the
+  banded sweep and, at ``n2 <= 9`` for three of the payoffs, the generic
+  reference sweep;
+* for each payoff, the ``price()`` interval;
+* the type and text of every error any of these raise.
+
+Two more families hash ``bands()`` of MA and MB rules for p = 1..9 and the
+``ModifiedRule`` selections.  To check that a refactor leaves every result
+bitwise equal, run the script on both trees and compare::
+
+    python3 tools/fingerprint.py > after.txt     # in each checkout
+    diff before.txt after.txt
+
+It imports the package from ``src/`` and the test-only rules from
+``tests/test_model.py`` of the checkout it lives in.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from trajbounds import engine  # noqa: E402
+from trajbounds.grid import Payoff, build_grid  # noqa: E402
+from trajbounds.model import (  # noqa: E402
+    MARule, MBRule, ModifiedRule, reachable, spec_for_rule, validate_model)
+from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
+
+STEP = 0.05
+N2S = (4, 9, 16, 25)
+GENERIC = ("put", "fly", "nan")  # payoffs that also run the generic sweep (n2 <= 9)
+
+
+def rules():
+    yield "BJN", MARule(1)
+    for p in (2, 3):
+        yield f"MA{p}", MARule(p)
+        yield f"MA{p}-flat", MARule(p, allow_flat=True)
+    yield "MB3A2", MBRule(3, 2)
+    yield "MB4A3-flat", MBRule(4, 3, allow_flat=True)
+    yield "DOUBLE", DoubleStepRule()
+    yield "FLATTAIL", FlatTailRule()
+    yield "OVERLAP", OverlapRule()
+    for name, base in (("MA3", MARule(3)), ("MA2-flat", MARule(2, allow_flat=True)),
+                       ("BJN", MARule(1))):
+        for frac in (0.1, 0.3):
+            for seed in (1, 7):
+                yield f"inject({name},{frac},{seed})", engine.inject_arbitrage(base, frac, seed)
+
+
+def shapes(p: int, n2: int):
+    for n1 in sorted({n2, max(1, p * n2 // 2), p * n2}):
+        for lam in ((n2,), (n2 // 2, n2), tuple(range(3, n2, 3)) + (n2,)):
+            yield n1, tuple(sorted(set(x for x in lam if x >= 1)))
+
+
+def payoffs(grid):
+    return (("call", Payoff.call(1.0)), ("put", Payoff.put(1.0)),
+            ("fly", Payoff.butterfly(0.95, 1.05)),
+            ("zero", Payoff.from_table(dict.fromkeys(grid.prices.tolist(), 0.0))),
+            ("nan", Payoff.call(float("nan"))))
+
+
+class Hasher:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *items):
+        for x in items:
+            self.h.update(x.tobytes() if isinstance(x, np.ndarray) else repr(x).encode())
+            self.h.update(b"\0")
+
+    def call(self, fn, *args, **kwargs):
+        """Run fn, hash its error if it raises, and return its result (or None)."""
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, ArithmeticError, KeyError) as e:
+            self.add("error", type(e).__name__, str(e))
+            return None
+
+
+def family(h: Hasher, rule, n1: int, n2: int, lam) -> None:
+    spec = h.call(spec_for_rule, rule, s0=1.0, delta=STEP, beta=STEP, n1=n1, n2=n2, lam=lam)
+    if spec is None:
+        return
+    rep = h.call(validate_model, spec, rule)
+    if rep is not None:
+        h.add(rep.rule_kind, sorted((c.value, n) for c, n in rep.counts.items()), rep.codes,
+              rep.arbitrage_vertices, rep.not_zero_neutral, rep.unlandable, rep.ok,
+              rep.summary())
+    for j in range(0, n2 + 1, 1 if n2 <= 9 else 4):
+        w = spec.column_half_width(j)
+        for k in range(-w, w + 1):
+            h.add((k, j), h.call(reachable, spec, rule, (k, j)))
+    grid = build_grid(spec)
+    for name, payoff in payoffs(grid):
+        h.add(name)
+        for method in ("banded", "generic") if n2 <= 9 and name in GENERIC else ("banded",):
+            b = h.call(engine.compute_bounds, grid, rule, payoff, method=method)
+            if b is not None:
+                h.add(method, b.upper, b.lower, b.slope_up, b.slope_dn, b.prov)
+        h.add("price", h.call(engine.price, spec, rule, payoff))
+
+
+def main() -> None:
+    h = Hasher()
+    for p in range(1, 10):
+        for flat in (False, True):
+            h.add(MARule(p, allow_flat=flat).bands())
+            for a in range(1, p * p + 1):
+                h.add(a, h.call(lambda: MBRule(p, a, allow_flat=flat).bands()))
+    print(f"bands {h.h.hexdigest()}")
+
+    for name, rule in rules():
+        if not isinstance(rule, ModifiedRule):
+            continue
+        h = Hasher()
+        for n2 in N2S:
+            for n1, _ in shapes(rule.p, n2):
+                spec = spec_for_rule(rule, 1.0, STEP, STEP, n1, n2)
+                h.add((n1, n2), sorted(rule.selection(spec)))
+        print(f"selection {name} {h.h.hexdigest()}")
+
+    for name, rule in rules():
+        for n2 in N2S:
+            for n1, lam in shapes(rule.p, n2):
+                h = Hasher()
+                family(h, rule, n1, n2, lam)
+                print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))} {h.h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
