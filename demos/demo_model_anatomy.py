@@ -1,8 +1,8 @@
 """Look inside a model: reachable moves, node classes, and the bounds surface.
 
-Every pricing run is backed by a validation pass that classifies each
-reachable vertex by the signs of its admissible price moves and confirms that
-every vertex can land exactly on a liquidation column.
+A validation pass classifies each reachable vertex by the signs of its
+admissible price moves and confirms that every vertex can land exactly on a
+liquidation column.  Pricing runs it only to explain a root it cannot price.
 """
 
 from pathlib import Path

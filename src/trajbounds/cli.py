@@ -107,6 +107,17 @@ class ExperimentConfig:
         return self.values[key]
 
 
+def _check(key: str, value, ok: bool, need: str):
+    """``value`` of config key ``key``, or a ConfigError naming the key."""
+    if not ok:
+        raise ConfigError(f"{key} must be {need}, got {value}")
+    return value
+
+
+def _nonempty(key: str, values: tuple) -> tuple:
+    return _check(key, values, len(values) > 0, "non-empty")
+
+
 def build_rule(cfg: ExperimentConfig, p: int | None = None) -> TransitionRule:
     model = str(cfg.get("model", "ma")).lower()
     p = int(p if p is not None else cfg.get("p", 1))
@@ -127,12 +138,14 @@ def build_spec(cfg: ExperimentConfig, rule: TransitionRule,
                n2: int | None = None, s0: float | None = None) -> GridSpec:
     """GridSpec from explicit delta/beta or the derived form beta^2 = v0 / N2."""
     n2 = int(n2 if n2 is not None else cfg.require("N2"))
+    _check("N2", n2, n2 >= 1, ">= 1")
     s0 = float(s0 if s0 is not None else cfg.get("s0", 1.0))
     if "delta" in cfg.values or "beta" in cfg.values:
         delta = float(cfg.get("delta", cfg.get("beta")))
         beta = float(cfg.get("beta", delta))
     else:
         v0 = float(cfg.require("v0"))
+        _check("v0", v0, v0 > 0, "> 0")
         delta = beta = math.sqrt(v0 / n2)
     n1 = int(cfg.get("N1", n2))
     lam = cfg.get("Lambda", (n2,))
@@ -205,8 +218,8 @@ def cmd_price(cfg: ExperimentConfig):
 
 
 def cmd_converge(cfg: ExperimentConfig):
-    p_list = cfg.get("p_list", (2, 3, 5))
-    n2_list = cfg.get("N2_list", tuple(range(20, 201, 20)))
+    p_list = _nonempty("p_list", cfg.get("p_list", (2, 3, 5)))
+    n2_list = _nonempty("N2_list", cfg.get("N2_list", tuple(range(20, 201, 20))))
     payoff = build_payoff(cfg)
     rows = []
     for p in p_list:
@@ -222,7 +235,7 @@ def cmd_converge(cfg: ExperimentConfig):
 
 
 def cmd_merton_scan(cfg: ExperimentConfig):
-    s0_list = cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2))
+    s0_list = _nonempty("s0_list", cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2)))
     n2 = int(cfg.get("N2", 100))
     rule = build_rule(cfg)
     payoff = build_payoff(cfg)
@@ -239,8 +252,8 @@ def cmd_merton_scan(cfg: ExperimentConfig):
 
 
 def cmd_arbitrage_scan(cfg: ExperimentConfig):
-    fractions = cfg.get("fraction_list", (0.0, 0.1, 0.3))
-    s0_list = cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2))
+    fractions = _nonempty("fraction_list", cfg.get("fraction_list", (0.0, 0.1, 0.3)))
+    s0_list = _nonempty("s0_list", cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2)))
     n2 = int(cfg.get("N2", 100))
     seed = int(cfg.get("seed", 0))
     base = build_rule(cfg)
@@ -264,8 +277,7 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
     spec = build_spec(cfg, rule)
     payoff = build_payoff(cfg)
     n_paths = int(cfg.get("n_paths", 200))
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    _check("n_paths", n_paths, n_paths >= 1, ">= 1")
     grid = build_grid(spec)
     try:
         bounds = engine.compute_bounds(grid, rule, payoff)
@@ -296,9 +308,13 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
 
 def cmd_vol_scan(cfg: ExperimentConfig):
     v0 = float(cfg.get("v0", 0.0067))
+    _check("v0", v0, v0 > 0, "> 0")
     ref_steps = int(cfg.get("vol_ref_steps", 200))
+    _check("vol_ref_steps", ref_steps, ref_steps >= 1, ">= 1")
     unit = int(cfg.get("vol_unit", 25))
+    _check("vol_unit", unit, unit >= 1, ">= 1")
     steps = int(cfg.get("vol_steps", 8))
+    _check("vol_steps", steps, steps >= 1, ">= 1")
     s0 = float(cfg.get("s0", 1.0))
     d0 = math.sqrt(v0 / ref_steps)
     if "model" not in cfg.values:

@@ -9,8 +9,9 @@ a vertex; every rule here expresses admissibility as a per-``dk`` window of
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -160,9 +161,10 @@ class TransitionRule:
     """Base for band-structured transition rules.
 
     Subclasses must provide ``p`` (max |dk|), ``max_dj`` and either
-    vertex-independent :meth:`bands` or an override of :meth:`bands_at` and
-    :meth:`column_bands`.  The column passes read one list of masked bands
-    per column from :meth:`column_bands`.
+    vertex-independent :meth:`bands` or an override of :meth:`column_bands`,
+    the one statement of a rule's moves: the column passes read its masked
+    bands, and :func:`reachable` reads their view at one vertex,
+    :meth:`bands_at`.
     """
 
     kind: str = "?"
@@ -179,15 +181,20 @@ class TransitionRule:
         """Bands shared by every vertex, for rules that do not vary by vertex."""
         raise NotImplementedError
 
-    def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
-        return self.bands()
-
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
         """Every band of column j, with the boolean row (full width) of the
         vertices it applies to; a ``None`` mask means all of them."""
         return [(dk, lo, hi, None) for dk, lo, hi in self.bands()]
 
+    def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
+        """The bands of ``column_bands(spec, j)`` that apply at in-grid vertex (k, j)."""
+        i = k + spec.n1
+        # A list, not a generator: the generator form cost hedge-sim ~1 MiB of peak RSS.
+        return tuple([(dk, lo, hi) for dk, lo, hi, mask in self.column_bands(spec, j)
+                      if mask is None or mask[i]])
 
+
+@functools.cache
 def _quadratic_bands(p: int, a: int, allow_flat: bool) -> tuple[Band, ...]:
     """Bands of ``0 < |dk| <= p`` (``dk = 0`` too with flats) and
     ``max(|dk|, dk**2 / a) <= dj <= p**2 / a`` in integers: MB with
@@ -202,45 +209,6 @@ def _quadratic_bands(p: int, a: int, allow_flat: bool) -> tuple[Band, ...]:
         if lo <= hi:
             out.append((dk, lo, hi))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class MARule(TransitionRule):
-    """Jump-bounded quadratic-variation rule: dj between dk**2 and p**2.
-
-    ``allow_flat=False`` additionally forbids dk == 0 (prices must move every
-    step); with p == 1 and no flats this is the classical binomial-with-
-    variation-clock model.
-    """
-
-    p_max: int
-    allow_flat: bool = False
-
-    def __post_init__(self):
-        if self.p_max < 1:
-            raise ValueError("p must be >= 1")
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        if self.p_max == 1 and not self.allow_flat:
-            return "BJN"
-        return "MA"
-
-    @property
-    def p(self) -> int:
-        return self.p_max
-
-    @property
-    def max_dj(self) -> int:
-        return self.p_max ** 2
-
-    def bands(self) -> tuple[Band, ...]:
-        return _quadratic_bands(self.p_max, 1, self.allow_flat)
-
-
-def bjn_rule() -> MARule:
-    """Unit-jump special case: the only admissible move is (dk, dj) = (+-1, 1)."""
-    return MARule(p_max=1)
 
 
 @dataclass(frozen=True)
@@ -278,6 +246,29 @@ class MBRule(TransitionRule):
 
     def bands(self) -> tuple[Band, ...]:
         return _quadratic_bands(self.p_max, self.A, self.allow_flat)
+
+
+@dataclass(frozen=True)
+class MARule(MBRule):
+    """Jump-bounded quadratic-variation rule: dj between dk**2 and p**2.
+
+    This is MB with A = 1.  ``allow_flat=False`` additionally forbids
+    dk == 0 (prices must move every step); with p == 1 and no flats this is
+    the classical binomial-with-variation-clock model.
+    """
+
+    A: int = field(default=1, init=False, repr=False)
+
+    @property
+    def kind(self) -> str:  # type: ignore[override]
+        if self.p_max == 1 and not self.allow_flat:
+            return "BJN"
+        return "MA"
+
+
+def bjn_rule() -> MARule:
+    """Unit-jump special case: the only admissible move is (dk, dj) = (+-1, 1)."""
+    return MARule(p_max=1)
 
 
 @dataclass(frozen=True)
@@ -334,13 +325,7 @@ class ModifiedRule(TransitionRule):
 
     @property
     def max_dj(self) -> int:
-        return max(self.base.max_dj, self.p ** 2)
-
-    def _mod_bands(self, k: int) -> tuple[Band, ...]:
-        hi = self.p ** 2
-        if k >= 0:
-            return tuple((dk, 1, hi) for dk in range(-self.p, 1))
-        return tuple((dk, 1, hi) for dk in range(0, self.p + 1))
+        return self.p ** 2
 
     def selection(self, spec: GridSpec) -> frozenset[Vertex]:
         # Base reachability reads only the grid shape, so specs that differ in
@@ -357,11 +342,6 @@ class ModifiedRule(TransitionRule):
             cache[key] = got
         return got
 
-    def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
-        if (k, j) in self.selection(spec):
-            return self._mod_bands(k)
-        return self.base.bands_at(spec, k, j)
-
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
         # Built once per grid shape, like the selection; callers must not mutate them.
         cache = self._cache  # type: ignore[attr-defined]
@@ -373,9 +353,11 @@ class ModifiedRule(TransitionRule):
                 sel[jj, k + spec.n1] = True
             ks = np.arange(-spec.n1, spec.n1 + 1)
             rest, pos, neg = ~sel, sel & (ks >= 0), sel & (ks < 0)
+            # Arbitrage moves: down or flat where k >= 0, up or flat where k < 0.
+            p, top = self.p, self.max_dj
             got = [[(dk, lo, hi, rest[jj]) for dk, lo, hi in self.base.bands()]
-                   + [(dk, lo, hi, pos[jj]) for dk, lo, hi in self._mod_bands(0)]
-                   + [(dk, lo, hi, neg[jj]) for dk, lo, hi in self._mod_bands(-1)]
+                   + [(dk, 1, top, pos[jj]) for dk in range(-p, 1)]
+                   + [(dk, 1, top, neg[jj]) for dk in range(0, p + 1)]
                    if any_sel else self.base.column_bands(spec, jj)
                    for jj, any_sel in enumerate(sel.any(axis=1).tolist())]
             cache[key] = got

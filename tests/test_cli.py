@@ -95,6 +95,47 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("price", "model = bjn\nN2 = 0\nv0 = 0.0067\n", "N2"),
+        ("price", "model = bjn\nN2 = 10\nv0 = -1\n", "v0"),
+        ("price", "model = bjn\nN2 = 10\nv0 = 0\n", "v0"),
+        ("vol-scan", "v0 = -1\nvol_steps = 2\n", "v0"),
+        ("vol-scan", "vol_ref_steps = 0\nvol_steps = 2\n", "vol_ref_steps"),
+        ("vol-scan", "vol_unit = 0\nvol_steps = 2\n", "vol_unit"),
+        ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = 0\n", "n_paths"),
+    ], ids=["n2_zero", "v0_negative", "v0_zero", "vol_scan_v0_negative",
+            "vol_ref_steps_zero", "vol_unit_zero", "n_paths_zero"])
+    def test_config_error_names_key(self, tmp_path, capsys, command, text, key):
+        cfg = write_cfg(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("vol-scan", "vol_steps = 0\n", "vol_steps must be >= 1"),
+        ("vol-scan", "vol_steps = -3\n", "vol_steps must be >= 1"),
+        ("merton-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\ns0_list =\n",
+         "s0_list must be non-empty"),
+        ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\ns0_list =\n",
+         "s0_list must be non-empty"),
+        ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nfraction_list =\n",
+         "fraction_list must be non-empty"),
+        ("converge", "model = ma\nv0 = 0.0067\np_list =\n", "p_list must be non-empty"),
+        ("converge", "model = ma\nv0 = 0.0067\nN2_list =\n", "N2_list must be non-empty"),
+    ], ids=["vol_steps_zero", "vol_steps_negative", "merton_s0_list", "arbitrage_s0_list",
+            "fraction_list", "p_list", "n2_list"])
+    @pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+    def test_empty_scan_is_config_error(self, tmp_path, capsys, command, text, message, svg):
+        cfg = write_cfg(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out)] + (["--svg"] if svg else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_price_success(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "a.cfg", BASE_CFG)
         assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajbounds.engine import price
+from trajbounds.engine import inject_arbitrage, price
 from trajbounds.grid import Payoff
 from trajbounds.model import (
     GridSpec,
@@ -131,6 +131,19 @@ class TestRules:
     def test_mb_rejects_empty_rule(self):
         with pytest.raises(ValueError, match="no admissible"):
             MBRule(p_max=2, A=5)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_ma_is_mb_with_unit_horizon(self, flat):
+        for p in range(1, 10):
+            ma, mb = MARule(p, flat), MBRule(p, 1, flat)
+            assert ma.bands() == mb.bands()
+            assert (ma.p, ma.max_dj) == (mb.p, mb.max_dj) == (p, p * p)
+            assert ma.kind == ("BJN" if p == 1 and not flat else "MA")
+            assert mb.kind == "MB"
+        assert repr(MARule(3)) == "MARule(p_max=3, allow_flat=False)"
+        assert repr(MARule(2, allow_flat=True)) == "MARule(p_max=2, allow_flat=True)"
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            MARule(0)
 
     def test_modified_requires_ma_family(self):
         with pytest.raises(ValueError):
@@ -402,6 +415,31 @@ class TestVectorPasses:
         land = landable(spec, rule)
         assert report.unlandable == tuple(v for v in inner if not land[v])
         assert report.ok is ok
+
+
+def modified_bands_by_definition(rule, spec, k, j):
+    """``ModifiedRule``'s bands at (k, j) from its docstring: at a selected
+    vertex with k >= 0, dk in [-p, 0] with dj in [1, p**2]; mirrored for k < 0;
+    the base bands everywhere else."""
+    p = rule.p
+    if (k, j) not in rule.selection(spec):
+        return sorted(rule.base.bands())
+    dks = range(-p, 1) if k >= 0 else range(0, p + 1)
+    return sorted((dk, 1, p * p) for dk in dks)
+
+
+class TestModifiedBands:
+    @pytest.mark.parametrize("base", [MARule(3), bjn_rule()], ids=["ma3", "bjn"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.3])
+    def test_bands_at_matches_definition(self, base, fraction):
+        rule = inject_arbitrage(base, fraction, seed=7)
+        spec = make_spec(rule, 10, 10)
+        assert rule.selection(spec)
+        for j in range(spec.n2):
+            w = spec.column_half_width(j)
+            for k in range(-w, w + 1):
+                assert sorted(rule.bands_at(spec, k, j)) == \
+                    modified_bands_by_definition(rule, spec, k, j), (k, j)
 
 
 class TestModifiedSelection:

@@ -1,19 +1,23 @@
 """Bitwise fingerprint of the engine's observable results, one sha256 per case family.
 
 A case family is one rule on one grid shape (``n2``, ``n1``, liquidation
-columns).  Its hash covers, for that spec:
+columns).  Its hash covers the rule's ``kind``, ``repr`` (the class name for
+the test-only rules, whose ``repr`` holds an address), ``p`` and ``max_dj``,
+and, for that spec:
 
 * the ``validate_model`` report (counts, class codes, arbitrage, not-0-neutral
-  and unlandable vertices, ``ok``, summary text) and the ``reachable`` list of
-  every in-grid vertex (every fourth column when ``n2 > 9``);
+  and unlandable vertices, ``ok``, summary text), and the ``reachable`` list
+  and ``bands_at`` tuple of every in-grid vertex (every fourth column when
+  ``n2 > 9``);
 * for each payoff, the five ``compute_bounds`` arrays by ``tobytes``, for the
   banded sweep and, at ``n2 <= 9`` for three of the payoffs, the generic
   reference sweep;
 * for each payoff, the ``price()`` interval;
 * the type and text of every error any of these raise.
 
-Two more families hash ``bands()`` of MA and MB rules for p = 1..9 and the
-``ModifiedRule`` selections.  To check that a refactor leaves every result
+Two more families hash ``bands()``, ``kind``, ``repr``, ``p`` and
+``max_dj`` of MA and MB rules for p = 1..9, and the ``ModifiedRule``
+selections.  To check that a refactor leaves every result
 bitwise equal, run the script on both trees and compare::
 
     python3 tools/fingerprint.py > after.txt     # in each checkout
@@ -25,6 +29,7 @@ It imports the package from ``src/`` and the test-only rules from
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -93,7 +98,13 @@ class Hasher:
             return None
 
 
+def identity(rule) -> tuple:
+    name = repr(rule) if dataclasses.is_dataclass(rule) else type(rule).__name__
+    return rule.kind, name, rule.p, rule.max_dj
+
+
 def family(h: Hasher, rule, n1: int, n2: int, lam) -> None:
+    h.add(identity(rule))
     spec = h.call(spec_for_rule, rule, s0=1.0, delta=STEP, beta=STEP, n1=n1, n2=n2, lam=lam)
     if spec is None:
         return
@@ -105,7 +116,8 @@ def family(h: Hasher, rule, n1: int, n2: int, lam) -> None:
     for j in range(0, n2 + 1, 1 if n2 <= 9 else 4):
         w = spec.column_half_width(j)
         for k in range(-w, w + 1):
-            h.add((k, j), h.call(reachable, spec, rule, (k, j)))
+            h.add((k, j), h.call(reachable, spec, rule, (k, j)),
+                  h.call(rule.bands_at, spec, k, j))
     grid = build_grid(spec)
     for name, payoff in payoffs(grid):
         h.add(name)
@@ -120,9 +132,11 @@ def main() -> None:
     h = Hasher()
     for p in range(1, 10):
         for flat in (False, True):
-            h.add(MARule(p, allow_flat=flat).bands())
+            ma = MARule(p, allow_flat=flat)
+            h.add(identity(ma), ma.bands())
             for a in range(1, p * p + 1):
-                h.add(a, h.call(lambda: MBRule(p, a, allow_flat=flat).bands()))
+                mb = h.call(MBRule, p, a, allow_flat=flat)
+                h.add(a, None if mb is None else (identity(mb), mb.bands()))
     print(f"bands {h.h.hexdigest()}")
 
     for name, rule in rules():
