@@ -1,8 +1,9 @@
 """Look inside a model: reachable moves, node classes, and the bounds surface.
 
 A validation pass classifies each reachable vertex by the signs of its
-admissible price moves and confirms that every vertex can land exactly on a
-liquidation column.  Pricing runs it only to explain a root it cannot price.
+admissible price moves and passes the model when every one is 0-neutral, which
+also means every vertex can land exactly on a liquidation column.  Pricing runs
+it only to explain a root it cannot price.
 """
 
 from pathlib import Path

@@ -469,29 +469,6 @@ def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     return reach
 
 
-def _landing_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
-    """Vertices from which some lam-column can be hit exactly (or that sit on one).
-
-    ``suf[j]`` counts the landable vertices of each row over columns j..n2, so
-    a band's window OR over columns j+lo..j+hi is a difference of two counts.
-    """
-    n2, w = spec.n2, spec.width
-    lam = set(spec.lam)
-    land = np.zeros((n2 + 1, w), dtype=bool)
-    suf = np.zeros((n2 + 2, w), dtype=np.int32)
-    for j in range(n2, -1, -1):
-        wmask = width_mask(spec, j)
-        if j in lam:
-            land[j] = wmask
-        else:
-            for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
-                hit = shift_row(suf[j + lo] - suf[j + hi + 1] > 0, dk, False)
-                land[j] |= hit if mask is None else (hit & mask)
-            land[j] &= wmask
-        suf[j] = suf[j + 1] + land[j]
-    return land
-
-
 def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(has_up, has_dn, has_flat) boolean rows for column j < n2.
 
@@ -532,7 +509,6 @@ class ValidationReport:
     codes: np.ndarray
     arbitrage_vertices: tuple[Vertex, ...]
     not_zero_neutral: tuple[Vertex, ...]
-    unlandable: tuple[Vertex, ...]
 
     @property
     def classes(self) -> dict[Vertex, NodeClass]:
@@ -543,17 +519,13 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not self.not_zero_neutral and not self.unlandable
+        return not self.not_zero_neutral
 
     def raise_if_failed(self) -> None:
         if self.not_zero_neutral:
             raise ModelValidationError(
                 f"{len(self.not_zero_neutral)} reachable vertices are not 0-neutral, "
                 f"first {self.not_zero_neutral[0]}", self)
-        if self.unlandable:
-            raise ModelValidationError(
-                f"{len(self.unlandable)} reachable vertices cannot hit a liquidation "
-                f"column exactly, first {self.unlandable[0]}", self)
 
     def summary(self) -> str:
         lines = [f"model {self.rule_kind}: n1={self.spec.n1} n2={self.spec.n2} "
@@ -562,7 +534,6 @@ class ValidationReport:
             n = self.counts.get(cls, 0)
             if n:
                 lines.append(f"  {cls.value}: {n}")
-        lines.append(f"  q-unreachable: {len(self.unlandable)}")
         lines.append("  status: " + ("ok" if self.ok else "FAILED"))
         return "\n".join(lines)
 
@@ -574,15 +545,17 @@ def _vertex_list(spec: GridSpec, mask: np.ndarray) -> tuple[Vertex, ...]:
 
 
 def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
-    """Classify every reachable non-terminal vertex and audit liquidation reach.
+    """Classify every reachable non-terminal vertex; the model passes when each is 0-neutral.
 
     Vertices of the grid that are not reachable from (0, 0) are excluded from
     the report, and so are forced stops (no move, on a liquidation column),
-    which end their trajectories like terminal vertices.  The result is a
-    plain report; call ``raise_if_failed`` to turn defects into exceptions.
+    which end their trajectories like terminal vertices.  A passing model can
+    land exactly on a liquidation column from every reachable vertex: the
+    highest-``j`` one that could not has no in-grid move (its successors are
+    higher, so they land) and is off every liquidation column, so it is coded
+    not 0-neutral.  Call ``raise_if_failed`` to turn defects into exceptions.
     """
     reach = reachable_masks(spec, rule)
-    land = _landing_masks(spec, rule)
     codes = np.full(reach.shape, -1, dtype=np.int8)
     for j in range(spec.n2):
         if not reach[j].any():
@@ -592,8 +565,7 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
         cls = np.select([up & dn, up & fl, dn & fl, fl, ~(up | dn) & (j in spec.lam)],
                         [_UP_DOWN, _POS_ARB, _NEG_ARB, _FLAT, -1], _NZN)
         codes[j] = np.where(reach[j], cls, -1)
-    classified = codes >= 0
-    tally = np.bincount(codes[classified], minlength=len(_CLASSES))
+    tally = np.bincount(codes[codes >= 0], minlength=len(_CLASSES))
     return ValidationReport(
         spec=spec,
         rule_kind=rule.kind,
@@ -601,5 +573,4 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
         codes=codes,
         arbitrage_vertices=_vertex_list(spec, (codes == _POS_ARB) | (codes == _NEG_ARB)),
         not_zero_neutral=_vertex_list(spec, codes == _NZN),
-        unlandable=_vertex_list(spec, classified & ~land),
     )

@@ -69,7 +69,8 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "bad.cfg",
                         "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "validation failure" in capsys.readouterr().err
+        assert ("validation failure: 10 reachable vertices are not 0-neutral, first (-5, 5)"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, text", [
         ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = -5\n"),
@@ -103,8 +104,14 @@ class TestExitCodes:
         ("vol-scan", "vol_ref_steps = 0\nvol_steps = 2\n", "vol_ref_steps"),
         ("vol-scan", "vol_unit = 0\nvol_steps = 2\n", "vol_unit"),
         ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = 0\n", "n_paths"),
+        ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nfraction_list = nan\n",
+         "fraction_list"),
+        ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nfraction_list = 0.1,-0.5\n",
+         "fraction_list"),
+        ("converge", "model = ma\nv0 = 0.0067\nN2_list = 0,10\n", "N2_list"),
     ], ids=["n2_zero", "v0_negative", "v0_zero", "vol_scan_v0_negative",
-            "vol_ref_steps_zero", "vol_unit_zero", "n_paths_zero"])
+            "vol_ref_steps_zero", "vol_unit_zero", "n_paths_zero", "fraction_nan",
+            "fraction_negative", "converge_n2_list_zero"])
     def test_config_error_names_key(self, tmp_path, capsys, command, text, key):
         cfg = write_cfg(tmp_path / "a.cfg", text)
         out = tmp_path / "out"

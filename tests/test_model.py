@@ -304,7 +304,31 @@ class TestValidate:
         spec = spec_for_rule(rule, 1.0, 0.01, 0.01, n1=9, n2=9, lam=(9,))
         report = validate_model(spec, rule)
         assert not report.ok
-        assert (0, 0) in report.unlandable
+        assert not landable(spec, rule)[(0, 0)]
+        # Only even columns are reachable, so column 9 is never hit: column 8 is all dead ends.
+        assert report.not_zero_neutral == ((-4, 8), (-2, 8), (0, 8), (2, 8), (4, 8))
+
+    def test_unlandable_vertex_fails_audit(self):
+        # validate_model checks only 0-neutrality; its docstring proves that an
+        # unlandable reachable vertex breaks it.  Guard that proof over random grids.
+        rules = (bjn_rule(), MARule(2), MARule(3, allow_flat=True), MBRule(3, 2),
+                 MBRule(4, 3, allow_flat=True), inject_arbitrage(MARule(3), 0.3, 7),
+                 inject_arbitrage(MARule(2, allow_flat=True), 0.1, 1),
+                 DoubleStepRule(), FlatTailRule(), OverlapRule())
+        rng = np.random.default_rng(14)
+        failing = 0
+        for _ in range(200):
+            rule = rules[rng.integers(len(rules))]
+            n2 = int(rng.integers(1, 21))
+            n1 = int(rng.integers(1, rule.p * n2 + 1))
+            inner = rng.choice(np.arange(1, n2), min(int(rng.integers(4)), n2 - 1), replace=False)
+            spec = make_spec(rule, n1, n2, tuple(sorted(inner.tolist())) + (n2,))
+            land = landable(spec, rule)
+            if not all(land[v] for v in bfs_reachable(spec, rule)):
+                failing += 1
+                report = validate_model(spec, rule)
+                assert report.not_zero_neutral and not report.ok, (rule, n1, spec.lam)
+        assert failing
 
     def test_report_covers_exactly_reachable_vertices(self):
         rule = bjn_rule()
@@ -413,7 +437,8 @@ class TestVectorPasses:
             v for v in inner if expected[v] is NodeClass.NOT_ZERO_NEUTRAL)
 
         land = landable(spec, rule)
-        assert report.unlandable == tuple(v for v in inner if not land[v])
+        if not all(land[v] for v in inner):
+            assert report.not_zero_neutral and not report.ok
         assert report.ok is ok
 
 

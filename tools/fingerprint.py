@@ -5,8 +5,8 @@ columns).  Its hash covers the rule's ``kind``, ``repr`` (the class name for
 the test-only rules, whose ``repr`` holds an address), ``p`` and ``max_dj``,
 and, for that spec:
 
-* the ``validate_model`` report (counts, class codes, arbitrage, not-0-neutral
-  and unlandable vertices, ``ok``, summary text), and the ``reachable`` list
+* the ``validate_model`` report (counts, class codes, arbitrage and
+  not-0-neutral vertices, ``ok``, summary text), and the ``reachable`` list
   and ``bands_at`` tuple of every in-grid vertex (every fourth column when
   ``n2 > 9``);
 * for each payoff, the five ``compute_bounds`` arrays by ``tobytes``, for the
@@ -111,8 +111,7 @@ def family(h: Hasher, rule, n1: int, n2: int, lam) -> None:
     rep = h.call(validate_model, spec, rule)
     if rep is not None:
         h.add(rep.rule_kind, sorted((c.value, n) for c, n in rep.counts.items()), rep.codes,
-              rep.arbitrage_vertices, rep.not_zero_neutral, rep.unlandable, rep.ok,
-              rep.summary())
+              rep.arbitrage_vertices, rep.not_zero_neutral, rep.ok, rep.summary())
     for j in range(0, n2 + 1, 1 if n2 <= 9 else 4):
         w = spec.column_half_width(j)
         for k in range(-w, w + 1):
