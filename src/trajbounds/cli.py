@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import charts, engine, hedge, oracle
-from .grid import Payoff, build_grid
+from .grid import Payoff, build_grid, payoff_eval
 from .model import (
     GridSpec,
     MARule,
@@ -148,6 +148,7 @@ def build_spec(cfg: ExperimentConfig, rule: TransitionRule,
         _check("v0", v0, v0 > 0, "> 0")
         delta = beta = math.sqrt(v0 / n2)
     n1 = int(cfg.get("N1", n2))
+    _check("N1", n1, n1 >= 1, ">= 1")
     lam = cfg.get("Lambda", (n2,))
     if "q" in cfg.values and int(cfg.values["q"]) != rule.max_dj:
         raise ConfigError(f"q = {cfg.values['q']} contradicts the model's derived "
@@ -220,6 +221,8 @@ def cmd_price(cfg: ExperimentConfig):
 def cmd_converge(cfg: ExperimentConfig):
     p_list = _nonempty("p_list", cfg.get("p_list", (2, 3, 5)))
     n2_list = _nonempty("N2_list", cfg.get("N2_list", tuple(range(20, 201, 20))))
+    for p in p_list:
+        _check("p_list", p, p >= 1, ">= 1")
     for n2 in n2_list:
         _check("N2_list", n2, n2 >= 1, ">= 1")
     payoff = build_payoff(cfg)
@@ -290,19 +293,17 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
         raise
     lo, hi = bounds.price_interval()
     seed = int(cfg.get("seed", 0))
-    runs = [
-        (hedge.SHORT, hi + float(cfg.get("eps_short_hi", 0.01))),
-        (hedge.SHORT, hi - float(cfg.get("eps_short_lo", 0.03))),
-        (hedge.LONG, lo - float(cfg.get("eps_long_lo", 0.01))),
-        (hedge.LONG, lo + float(cfg.get("eps_long_hi", 0.03))),
-    ]
+    runs = {hedge.SHORT: (hi + float(cfg.get("eps_short_hi", 0.01)),
+                          hi - float(cfg.get("eps_short_lo", 0.03))),
+            hedge.LONG: (lo - float(cfg.get("eps_long_lo", 0.01)),
+                         lo + float(cfg.get("eps_long_hi", 0.03)))}
     # A trajectory depends only on (rule, grid, seed): sample once, replay per run.
-    trajs = [hedge.sample_trajectory(rule, grid, seed=seed + t) for t in range(n_paths)]
+    trajs = hedge.sample_trajectories(rule, grid, range(seed, seed + n_paths))
+    payoffs = [payoff_eval(payoff, traj.terminal[0], spec) for traj in trajs]
     rows = []
-    for side, x0 in runs:
-        for t, traj in enumerate(trajs):
-            ledger = hedge.simulate_pnl(bounds, traj, side, x0)
-            rows.append([t, x0, side, ledger.final, ledger.payoff, ledger.excess])
+    for side, x0s in runs.items():
+        for x0, finals in zip(x0s, hedge.ledger_finals(bounds, trajs, side, x0s).tolist()):
+            rows += ([t, x0, side, f, z, f - z] for t, (f, z) in enumerate(zip(finals, payoffs)))
     header = ["trajectory_id", "X", "side", "final", "payoff", "excess"]
     chart = charts.ChartSpec(x="payoff", ys=("final",), series=("side", "X"),
                              kind="scatter", title="hedge value vs payoff",

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -205,19 +203,17 @@ class BoundsGrid:
 
     def to_csv(self, path) -> None:
         spec = self.grid.spec
-        n1 = spec.n1
         prices = self.grid.prices.tolist()
         with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["k", "j", "s_k", "upper", "lower", "slope_up", "slope_dn",
-                        "provenance"])
-            # One column at a time, as Python floats: the same bytes as a
-            # per-vertex repr(float(v)), with "" for NaN.
+            f.write("k,j,s_k,upper,lower,slope_up,slope_dn,provenance\n")
+            # One column at a time, as Python floats: per-vertex repr(float(v)),
+            # "" for NaN.  No field needs CSV quoting, so lines are joined.
             for j in range(spec.n2 + 1):
                 hw = spec.column_half_width(j)
-                col = slice(n1 - hw, n1 + hw + 1)
+                col = slice(spec.n1 - hw, spec.n1 + hw + 1)
                 cells = [["" if v != v else repr(v) for v in a[j, col].tolist()]
                          for a in (self.upper, self.lower, self.slope_up, self.slope_dn)]
                 names = [_PROV_NAMES[c] for c in self.prov[j, col].tolist()]
-                w.writerows(zip(range(-hw, hw + 1), repeat(j), map(repr, prices[col]),
-                                *cells, names))
+                f.write("".join(f"{k},{j},{s!r},{u},{lo},{su},{sd},{name}\n"
+                                for k, s, u, lo, su, sd, name
+                                in zip(range(-hw, hw + 1), prices[col], *cells, names)))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .grid import BoundsGrid, Grid, payoff_eval
 from .model import TransitionRule, Vertex, reachable
@@ -39,27 +41,37 @@ def _from_vertices(grid: Grid, vertices: tuple[Vertex, ...]) -> Trajectory:
     return Trajectory(vertices=vertices, prices=tuple(grid.price(k) for k, _ in vertices))
 
 
-def sample_trajectory(rule: TransitionRule, grid: Grid, seed: int) -> Trajectory:
-    """One random admissible path: uniform successor choice, stop with
-    probability 1/2 on each intermediate liquidation column, always stop on the
-    last one.  Fully determined by the seed."""
+def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) -> list[Trajectory]:
+    """One random admissible path per seed, drawn from ``random.Random(seed)``:
+    uniform successor choice, stop with probability 1/2 on each intermediate
+    liquidation column, always stop on the last one.  All paths advance one
+    column at a time, so each distinct vertex asks for its successors once."""
     spec = grid.spec
-    rng = random.Random(seed)
     lam = set(spec.lam)
-    path: list[Vertex] = [(0, 0)]
-    while True:
-        k, j = path[-1]
-        if j == spec.n2:
-            break
-        if j in lam and rng.random() < 0.5:
-            break
-        succ = reachable(spec, rule, (k, j))
-        if not succ:
-            if j in lam:
-                break
-            raise ValueError(f"dead end at {(k, j)}: model was not validated")
-        path.append(succ[rng.randrange(len(succ))])
-    return _from_vertices(grid, tuple(path))
+    # waiting[j]: (path, its generator) for each path now at column j.
+    waiting = [[([(0, 0)], random.Random(seed)) for seed in seeds]] + [[] for _ in range(spec.n2)]
+    paths = [path for path, _ in waiting[0]]
+    for j in range(spec.n2):
+        succs: dict[int, list[Vertex]] = {}  # dropped with the column
+        for path, rng in waiting[j]:
+            if j in lam and rng.random() < 0.5:
+                continue
+            k = path[-1][0]
+            if k not in succs:
+                succs[k] = reachable(spec, rule, (k, j))
+            succ = succs[k]
+            if not succ and j not in lam:
+                raise ValueError(f"dead end at {(k, j)}: model was not validated")
+            if succ:
+                path.append(succ[rng.randrange(len(succ))])
+                waiting[path[-1][1]].append((path, rng))
+        waiting[j] = []
+    return [_from_vertices(grid, tuple(path)) for path in paths]
+
+
+def sample_trajectory(rule: TransitionRule, grid: Grid, seed: int) -> Trajectory:
+    """The path of :func:`sample_trajectories` for one seed."""
+    return sample_trajectories(rule, grid, (seed,))[0]
 
 
 def extract_hedge(bounds: BoundsGrid, traj: Trajectory, side: str = SHORT) -> tuple[float, ...]:
@@ -132,6 +144,34 @@ def simulate_pnl(bounds: BoundsGrid, traj: Trajectory, side: str, x0: float) -> 
     kT, _ = traj.terminal
     z = payoff_eval(bounds.payoff, kT, bounds.grid.spec)
     return HedgeLedger(side=side, initial=x0, rows=tuple(rows), final=value, payoff=z)
+
+
+def ledger_finals(bounds: BoundsGrid, trajs: Sequence[Trajectory], side: str,
+                  x0s: Sequence[float]) -> np.ndarray:
+    """``simulate_pnl(bounds, traj, side, x0).final`` for each ``x0`` (rows) and
+    trajectory (columns), bitwise: the slopes are gathered once, and
+    ``np.add.accumulate`` adds ``[x0, (sign * slope) * dS, ...]`` left to right."""
+    if side not in (SHORT, LONG):
+        raise ValueError("side must be SHORT or LONG")
+    grid = bounds.grid
+    k, j = np.array([v for t in trajs for v in t.vertices[:-1]], dtype=np.int64).reshape(-1, 2).T
+    inside = not ((j < 0) | (j > grid.spec.n2)).any() and (np.abs(k) <= grid.half_widths[j]).all()
+    table = bounds.slope_up if side == SHORT else bounds.slope_dn
+    slopes = table[j, k + grid.spec.n1] if inside else None
+    if slopes is None or np.isnan(slopes).any():
+        for t in trajs:  # extract_hedge raises for the first bad vertex in path order
+            extract_hedge(bounds, t, side)
+    incs = ((1.0 if side == SHORT else -1.0) * slopes) * np.array(
+        [b - a for t in trajs for a, b in zip(t.prices, t.prices[1:])])
+    steps = np.array([len(t) - 1 for t in trajs], dtype=np.int64)
+    # Row = path; x0 in column 0, step i in column i + 1, zeros past the end.
+    acc = np.zeros((len(trajs), int(steps.max(initial=0)) + 1))
+    acc[:, 1:][np.arange(acc.shape[1] - 1) < steps[:, None]] = incs
+    out = np.empty((len(x0s), len(trajs)))
+    for x0, row in zip(x0s, out):
+        acc[:, 0] = x0
+        row[:] = np.add.accumulate(acc, axis=1)[np.arange(len(trajs)), steps]
+    return out
 
 
 # --------------------------------------------------------------------------- #

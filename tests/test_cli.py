@@ -109,9 +109,12 @@ class TestExitCodes:
         ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nfraction_list = 0.1,-0.5\n",
          "fraction_list"),
         ("converge", "model = ma\nv0 = 0.0067\nN2_list = 0,10\n", "N2_list"),
+        ("converge", "model = ma\nv0 = 0.0067\np_list = 0,2\n", "p_list"),
+        ("converge", "model = ma\nv0 = 0.0067\nN1 = 0\n", "N1"),
     ], ids=["n2_zero", "v0_negative", "v0_zero", "vol_scan_v0_negative",
             "vol_ref_steps_zero", "vol_unit_zero", "n_paths_zero", "fraction_nan",
-            "fraction_negative", "converge_n2_list_zero"])
+            "fraction_negative", "converge_n2_list_zero", "converge_p_list_zero",
+            "converge_n1_zero"])
     def test_config_error_names_key(self, tmp_path, capsys, command, text, key):
         cfg = write_cfg(tmp_path / "a.cfg", text)
         out = tmp_path / "out"

@@ -116,7 +116,10 @@ class TestBoundsCsv:
         (MARule(3), 15, 15, (6, 15), Payoff.butterfly(0.95, 1.05), b",Q_MAX\n"),
         # n1 < p * n2: the half-widths saturate at n1.
         (MARule(3, allow_flat=True), 5, 10, (4, 10), Payoff.put(1.0), b"\n-5,10,"),
-    ], ids=["injected", "inner_lam", "narrow"])
+        # NaN cells and all four provenance names in one surface.
+        (ModifiedRule(base=MARule(3), fraction=0.3, seed=1), 12, 12, (6, 12),
+         Payoff.butterfly(0.95, 1.05), b",Q_MAX\n"),
+    ], ids=["injected", "inner_lam", "narrow", "every_provenance"])
     def test_bytes_match_per_vertex_writer(self, tmp_path, rule, n1, n2, lam, payoff, marker):
         spec = spec_for_rule(rule, 1.0, 0.02, 0.02, n1, n2, lam=lam)
         grid = build_grid(spec)

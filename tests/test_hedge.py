@@ -1,6 +1,8 @@
 import csv
 import math
+import random
 
+import numpy as np
 import pytest
 
 from trajbounds.engine import compute_bounds, inject_arbitrage, price
@@ -12,11 +14,14 @@ from trajbounds.hedge import (
     count_trajectories,
     enumerate_trajectories,
     extract_hedge,
+    ledger_finals,
+    sample_trajectories,
     sample_trajectory,
     simulate_pnl,
 )
 from trajbounds.model import (
     MARule,
+    MBRule,
     bjn_rule,
     reachable,
     spec_for_rule,
@@ -232,3 +237,91 @@ class TestIterativeEnumeration:
         assert got == list(walk_reference(rule, spec, [(0, 0)]))
         assert len(got) == count_trajectories(rule, grid)
         assert len(got) > 20
+
+
+def sample_reference(rule, grid, seed):
+    """The per-seed walk that the column pass replaces: one path at a time,
+    one successor list per step."""
+    spec = grid.spec
+    rng = random.Random(seed)
+    path = [(0, 0)]
+    while True:
+        k, j = path[-1]
+        if j == spec.n2 or (j in spec.lam and rng.random() < 0.5):
+            break
+        succ = reachable(spec, rule, (k, j))
+        if not succ:
+            if j in spec.lam:
+                break
+            raise ValueError(f"dead end at {(k, j)}: model was not validated")
+        path.append(succ[rng.randrange(len(succ))])
+    return tuple(path)
+
+
+BATCH_CASES = pytest.mark.parametrize("rule, n2, lam", [
+    (MARule(3), 40, (20, 40)),
+    (MARule(2, allow_flat=True), 30, (10, 30)),
+    (bjn_rule(), 50, (25, 50)),
+    (MBRule(3, 2), 30, None),
+    (inject_arbitrage(MARule(3), 0.3, seed=3), 20, (10, 20)),
+], ids=["ma3_inner_lam", "ma2_flat", "bjn", "mb3_a2", "injected"])
+
+
+class TestBatchedPaths:
+    @BATCH_CASES
+    @pytest.mark.parametrize("start", [0, 977])
+    def test_sample_trajectories_match_per_seed(self, rule, n2, lam, start):
+        grid, _ = bounds_for(rule, n2, lam=lam)
+        seeds = range(start, start + 40)
+        got = sample_trajectories(rule, grid, seeds)
+        assert [t.vertices for t in got] == [sample_reference(rule, grid, s) for s in seeds]
+        assert [t.vertices for t in got] == [sample_trajectory(rule, grid, s).vertices
+                                             for s in seeds]
+        assert all(t.prices == tuple(grid.price(k) for k, _ in t.vertices) for t in got)
+        assert len({t.terminal[1] for t in got}) == len(grid.spec.lam)
+
+    @BATCH_CASES
+    def test_ledger_finals_match_simulate_pnl(self, rule, n2, lam):
+        grid, bounds = bounds_for(rule, n2, lam=lam)
+        trajs = sample_trajectories(rule, grid, range(40))
+        trajs.append(Trajectory(vertices=((0, 0),), prices=(grid.price(0),)))
+        x0s = (bounds.upper_at(0, 0), -0.0, 0.37)
+        for side in (SHORT, LONG):
+            ref = np.array([[simulate_pnl(bounds, t, side, x0).final for t in trajs]
+                            for x0 in x0s])
+            assert ledger_finals(bounds, trajs, side, x0s).tobytes() == ref.tobytes()
+
+    def test_ledger_finals_nan_slope_error(self):
+        rule = MARule(3)
+        grid, bounds = bounds_for(rule, 40, lam=(20, 40))
+        trajs = sample_trajectories(rule, grid, range(10))
+        # Blank a late vertex of the third path and an early one of the sixth:
+        # the error names the first blank vertex in path order.
+        blank = {trajs[2].vertices[-2], trajs[5].vertices[1]}
+        for k, j in blank:
+            bounds.slope_dn[j, k + grid.spec.n1] = float("nan")
+        first = next(v for t in trajs for v in t.vertices[:-1] if v in blank)
+        with pytest.raises(ValueError) as ref:
+            for t in trajs:
+                simulate_pnl(bounds, t, LONG, 0.0)
+        assert str(ref.value) == f"no hedge recorded at vertex {first}"
+        with pytest.raises(ValueError, match=r"^no hedge recorded at vertex \(") as got:
+            ledger_finals(bounds, trajs, LONG, (0.0,))
+        assert str(got.value) == str(ref.value)
+        ledger_finals(bounds, trajs, SHORT, (0.0,))  # the other side is intact
+
+    @pytest.mark.parametrize("bad", [(5, 1), (-71, 20), (0, 41)],
+                             ids=["outside_cone", "below_array", "past_last_column"])
+    def test_ledger_finals_off_grid_vertex_error(self, bad):
+        # Fancy indexing would read some other cell, or wrap around.
+        rule = MARule(3)
+        grid, bounds = bounds_for(rule, 40, lam=(20, 40))
+        trajs = sample_trajectories(rule, grid, range(3))
+        trajs.append(Trajectory(vertices=((0, 0), bad, (0, 40)), prices=(1.0, 1.1, 1.0)))
+        with pytest.raises(ValueError) as ref:
+            for t in trajs:
+                simulate_pnl(bounds, t, SHORT, 0.0)
+        assert str(ref.value) == f"vertex {bad} is not in the grid"
+        with pytest.raises(ValueError) as got:
+            ledger_finals(bounds, trajs, SHORT, (0.0,))
+        assert str(got.value) == str(ref.value)

@@ -12,7 +12,13 @@ and, for that spec:
 * for each payoff, the five ``compute_bounds`` arrays by ``tobytes``, for the
   banded sweep and, at ``n2 <= 9`` for three of the payoffs, the generic
   reference sweep;
-* for each payoff, the ``price()`` interval;
+* for each payoff, the ``price()`` interval and the bytes that
+  ``BoundsGrid.to_csv`` writes for the banded bounds;
+* the ``sample_trajectory`` paths for seeds 0-19 and, for the call, the
+  ``simulate_pnl`` final, payoff and rows of each path on both sides;
+* for MA, MB and BJN rules, the exit code, error text, CSV and SVG of
+  ``trajbounds hedge-sim --svg`` on the family's ``config_text`` with
+  ``n_paths`` set;
 * the type and text of every error any of these raise.
 
 Two more families hash ``bands()``, ``kind``, ``repr``, ``p`` and
@@ -29,9 +35,12 @@ It imports the package from ``src/`` and the test-only rules from
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,7 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from trajbounds import engine  # noqa: E402
+from trajbounds import cli, engine, hedge  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
     MARule, MBRule, ModifiedRule, reachable, spec_for_rule, validate_model)
@@ -48,6 +57,8 @@ from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
 STEP = 0.05
 N2S = (4, 9, 16, 25)
 GENERIC = ("put", "fly", "nan")  # payoffs that also run the generic sweep (n2 <= 9)
+SEEDS = range(20)  # sampled trajectories per family
+N_PATHS = 20  # hedge-sim paths per family
 
 
 def rules():
@@ -103,7 +114,20 @@ def identity(rule) -> tuple:
     return rule.kind, name, rule.p, rule.max_dj
 
 
-def family(h: Hasher, rule, n1: int, n2: int, lam) -> None:
+def hedge_sim(h: Hasher, rule, spec, tmp: Path) -> None:
+    cfg = tmp / "hedge.cfg"
+    cfg.write_text(cli.config_text(rule, spec, Payoff.call(1.0)) + f"n_paths = {N_PATHS}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["hedge-sim", "--config", str(cfg), "--out", str(tmp), "--svg"])
+    h.add("hedge-sim", code, err.getvalue())
+    for name in ("hedge_sim.csv", "hedge_sim.svg"):
+        path = tmp / name
+        h.add(name, path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+
+
+def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> None:
     h.add(identity(rule))
     spec = h.call(spec_for_rule, rule, s0=1.0, delta=STEP, beta=STEP, n1=n1, n2=n2, lam=lam)
     if spec is None:
@@ -118,13 +142,27 @@ def family(h: Hasher, rule, n1: int, n2: int, lam) -> None:
             h.add((k, j), h.call(reachable, spec, rule, (k, j)),
                   h.call(rule.bands_at, spec, k, j))
     grid = build_grid(spec)
+    trajs = [h.call(hedge.sample_trajectory, rule, grid, seed) for seed in SEEDS]
+    h.add("trajectories", [t and (t.vertices, t.prices) for t in trajs])
     for name, payoff in payoffs(grid):
         h.add(name)
         for method in ("banded", "generic") if n2 <= 9 and name in GENERIC else ("banded",):
             b = h.call(engine.compute_bounds, grid, rule, payoff, method=method)
-            if b is not None:
-                h.add(method, b.upper, b.lower, b.slope_up, b.slope_dn, b.prov)
+            if b is None:
+                continue
+            h.add(method, b.upper, b.lower, b.slope_up, b.slope_dn, b.prov)
+            if method == "banded":
+                b.to_csv(tmp / "surface.csv")
+                h.add("to_csv", (tmp / "surface.csv").read_bytes())
+            if method == "banded" and name == "call":
+                lo, hi = b.price_interval()
+                for traj in filter(None, trajs):
+                    for side, x0 in ((hedge.SHORT, hi), (hedge.LONG, lo)):
+                        ledger = h.call(hedge.simulate_pnl, b, traj, side, x0)
+                        h.add(ledger and (ledger.final, ledger.payoff, ledger.rows))
         h.add("price", h.call(engine.price, spec, rule, payoff))
+    if rule.kind in ("BJN", "MA", "MB"):
+        hedge_sim(h, rule, spec, tmp)
 
 
 def main() -> None:
@@ -148,12 +186,14 @@ def main() -> None:
                 h.add((n1, n2), sorted(rule.selection(spec)))
         print(f"selection {name} {h.h.hexdigest()}")
 
-    for name, rule in rules():
-        for n2 in N2S:
-            for n1, lam in shapes(rule.p, n2):
-                h = Hasher()
-                family(h, rule, n1, n2, lam)
-                print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))} {h.h.hexdigest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rule in rules():
+            for n2 in N2S:
+                for n1, lam in shapes(rule.p, n2):
+                    h = Hasher()
+                    family(h, rule, n1, n2, lam, Path(tmp))
+                    print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))} "
+                          f"{h.h.hexdigest()}")
 
 
 if __name__ == "__main__":
