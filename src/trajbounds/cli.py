@@ -350,14 +350,8 @@ def cmd_validate(cfg: ExperimentConfig):
     report = validate_model(spec, rule)
     print(report.summary())
     report.raise_if_failed()
-    header = ["model", "p", "N2", "up_down", "flat", "positive_arbitrage",
-              "negative_arbitrage", "not_zero_neutral", "ok"]
-    row = [rule.kind, rule.p, spec.n2,
-           report.counts.get(NodeClass.UP_DOWN, 0),
-           report.counts.get(NodeClass.FLAT, 0),
-           report.counts.get(NodeClass.POSITIVE_ARBITRAGE, 0),
-           report.counts.get(NodeClass.NEGATIVE_ARBITRAGE, 0),
-           report.counts.get(NodeClass.NOT_ZERO_NEUTRAL, 0), int(report.ok)]
+    header = ["model", "p", "N2", *(c.value for c in NodeClass), "ok"]
+    row = [rule.kind, rule.p, spec.n2, *(report.counts.get(c, 0) for c in NodeClass), int(report.ok)]
     return header, [row], None
 
 

@@ -38,8 +38,6 @@ from .model import (
     shift_row,
     validate_model,
 )
-from .oracle import (  # noqa: F401  the reference hull step stays importable from here
-    HullPoint, LocalSolution, _sweep_generic, convex_hull_step, hull_fast)
 
 _BIG = 1e300
 _INVALID = -1e250  # anything below this is a leaked sentinel, not a value
@@ -191,28 +189,10 @@ def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
     return U, S, P
 
 
-def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "banded") -> BoundsGrid:
-    """Fill upper/lower bounds and hedge slopes over the whole grid.
-
-    ``method='banded'`` runs the vectorized sweep (rules must expose column
-    bands); ``'generic'`` runs the per-vertex reference sweep of ``oracle``.
-    The payoff is read once, as the terminal row ``Z``; one pass over the
-    stacked rows ``[Z, -Z]`` gives the upper bound and the negated lower
-    bound by the same code path.  Since the upper sweep takes max(payoff,
-    continuation) on intermediate liquidation columns, the lower bound takes
-    min(payoff, continuation) there.  Unlike :func:`price`, it keeps the
-    full value, slope and provenance surfaces, which hedging reads.
-
-    Both sweeps price every vertex they can, reachable from (0, 0) or not,
-    and leave the rest NaN.  An unpriced reachable vertex leaves the root
-    unpriced too; only then does one reachability pass name the vertex in
-    the :class:`NotZeroNeutralError`: the reachable unpriced one of highest
-    ``j``, then lowest ``k``.
-    """
-    sweep = {"banded": _banded_surfaces, "generic": _sweep_generic}.get(method)
-    if sweep is None:
-        raise ValueError(f"method must be 'banded' or 'generic', got {method!r}")
-    U, slope, prov = sweep(grid, rule, _terminal_rows(payoff, grid.prices.tolist(), -grid.spec.n1))
+def _bounds_from(grid: Grid, rule: TransitionRule, payoff, surfaces) -> BoundsGrid:
+    """:class:`BoundsGrid` of the stacked surfaces that ``surfaces(grid, rule, Z)``
+    sweeps from the terminal rows ``[Z, -Z]``; names the vertex of an unpriced root."""
+    U, slope, prov = surfaces(grid, rule, _terminal_rows(payoff, grid.prices.tolist(), -grid.spec.n1))
     n1 = grid.spec.n1
     if math.isnan(U[0, 0, n1]):
         bad = reachable_masks(grid.spec, rule) & np.isnan(U[0])
@@ -220,6 +200,26 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff, *, method: str = "b
         raise NotZeroNeutralError((int(np.flatnonzero(bad[j])[0]) - n1, j))
     np.negative(U[1], out=U[1])
     return BoundsGrid(grid, payoff, U[0], U[1], slope[0], slope[1], prov[0])
+
+
+def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
+    """Fill upper/lower bounds and hedge slopes over the whole grid.
+
+    The rule must expose column bands.  The payoff is read once, as the
+    terminal row ``Z``; one banded pass over the stacked rows ``[Z, -Z]``
+    gives the upper bound and the negated lower bound by the same code path.
+    Since the upper sweep takes max(payoff, continuation) on intermediate
+    liquidation columns, the lower bound takes min(payoff, continuation)
+    there.  Unlike :func:`price`, it keeps the full value, slope and
+    provenance surfaces, which hedging reads.
+
+    The sweep prices every vertex it can, reachable from (0, 0) or not, and
+    leaves the rest NaN.  An unpriced reachable vertex leaves the root
+    unpriced too; only then does one reachability pass name the vertex in
+    the :class:`NotZeroNeutralError`: the reachable unpriced one of highest
+    ``j``, then lowest ``k``.
+    """
+    return _bounds_from(grid, rule, payoff, _banded_surfaces)
 
 
 def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:

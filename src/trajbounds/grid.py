@@ -11,22 +11,14 @@ from .model import GridSpec, Vertex
 
 
 class Grid:
-    """Immutable dense index of the vertex set.
-
-    Vertices are stored column-major: all ``k`` of column ``j`` (ascending)
-    before column ``j + 1``.  ``offset`` and ``vertex`` are inverse bijections
-    between vertices and ``range(n_vertices)``.
-    """
+    """Immutable vertex set: column half-widths and one price per level."""
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n1, n2 = spec.n1, spec.n2
         self.half_widths = np.array(
             [spec.column_half_width(j) for j in range(n2 + 1)], dtype=np.int64)
-        counts = 2 * self.half_widths + 1
-        self.col_start = np.zeros(n2 + 2, dtype=np.int64)
-        np.cumsum(counts, out=self.col_start[1:])
-        self.n_vertices = int(self.col_start[-1])
+        self.n_vertices = int((2 * self.half_widths + 1).sum())
         # One exp per price level; every consumer reads from this array.
         self.prices = np.array([spec.price(k) for k in range(-n1, n1 + 1)])
 
@@ -35,17 +27,6 @@ class Grid:
 
     def in_grid(self, k: int, j: int) -> bool:
         return self.spec.in_grid(k, j)
-
-    def offset(self, k: int, j: int) -> int:
-        if not self.in_grid(k, j):
-            raise ValueError(f"vertex {(k, j)} is not in the grid")
-        return int(self.col_start[j]) + k + int(self.half_widths[j])
-
-    def vertex(self, offset: int) -> Vertex:
-        if not 0 <= offset < self.n_vertices:
-            raise ValueError("offset out of range")
-        j = int(np.searchsorted(self.col_start, offset, side="right")) - 1
-        return offset - int(self.col_start[j]) - int(self.half_widths[j]), j
 
     def column_ks(self, j: int) -> range:
         w = int(self.half_widths[j])

@@ -74,21 +74,33 @@ def sample_trajectory(rule: TransitionRule, grid: Grid, seed: int) -> Trajectory
     return sample_trajectories(rule, grid, (seed,))[0]
 
 
+def _slopes(bounds: BoundsGrid, trajs: Sequence[Trajectory], side: str) -> np.ndarray:
+    """Hedge slopes at the non-terminal vertices of ``trajs``, joined in path
+    order; raises for the first vertex in that order that is off the grid or
+    was never priced (NaN)."""
+    if side not in (SHORT, LONG):
+        raise ValueError("side must be SHORT or LONG")
+    spec = bounds.grid.spec
+    k, j = np.array([v for t in trajs for v in t.vertices[:-1]], dtype=np.int64).reshape(-1, 2).T
+    jc = j.clip(0, spec.n2)
+    inside = (j == jc) & (np.abs(k) <= bounds.grid.half_widths[jc])
+    table = bounds.slope_up if side == SHORT else bounds.slope_dn
+    slopes = np.where(inside, table[jc, (k + spec.n1).clip(0, 2 * spec.n1)], np.nan)
+    bad = np.flatnonzero(np.isnan(slopes))
+    if bad.size:
+        v = (int(k[bad[0]]), int(j[bad[0]]))
+        raise ValueError(f"no hedge recorded at vertex {v}" if inside[bad[0]]
+                         else f"vertex {v} is not in the grid")
+    return slopes
+
+
 def extract_hedge(bounds: BoundsGrid, traj: Trajectory, side: str = SHORT) -> tuple[float, ...]:
     """Hedge ratio held at each non-terminal vertex of the trajectory.
 
     Ratios depend on the current vertex only, so the strategy is
     non-anticipative by construction.
     """
-    if side not in (SHORT, LONG):
-        raise ValueError("side must be SHORT or LONG")
-    out = []
-    for k, j in traj.vertices[:-1]:
-        s = bounds.slope_up_at(k, j) if side == SHORT else bounds.slope_dn_at(k, j)
-        if s != s:  # NaN: vertex never priced
-            raise ValueError(f"no hedge recorded at vertex {(k, j)}")
-        out.append(s)
-    return tuple(out)
+    return tuple(_slopes(bounds, (traj,), side).tolist())
 
 
 @dataclass(frozen=True)
@@ -151,16 +163,7 @@ def ledger_finals(bounds: BoundsGrid, trajs: Sequence[Trajectory], side: str,
     """``simulate_pnl(bounds, traj, side, x0).final`` for each ``x0`` (rows) and
     trajectory (columns), bitwise: the slopes are gathered once, and
     ``np.add.accumulate`` adds ``[x0, (sign * slope) * dS, ...]`` left to right."""
-    if side not in (SHORT, LONG):
-        raise ValueError("side must be SHORT or LONG")
-    grid = bounds.grid
-    k, j = np.array([v for t in trajs for v in t.vertices[:-1]], dtype=np.int64).reshape(-1, 2).T
-    inside = not ((j < 0) | (j > grid.spec.n2)).any() and (np.abs(k) <= grid.half_widths[j]).all()
-    table = bounds.slope_up if side == SHORT else bounds.slope_dn
-    slopes = table[j, k + grid.spec.n1] if inside else None
-    if slopes is None or np.isnan(slopes).any():
-        for t in trajs:  # extract_hedge raises for the first bad vertex in path order
-            extract_hedge(bounds, t, side)
+    slopes = _slopes(bounds, trajs, side)
     incs = ((1.0 if side == SHORT else -1.0) * slopes) * np.array(
         [b - a for t in trajs for a, b in zip(t.prices, t.prices[1:])])
     steps = np.array([len(t) - 1 for t in trajs], dtype=np.int64)

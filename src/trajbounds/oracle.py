@@ -1,6 +1,6 @@
 """Reference computations used to check the pricing engine.
 
-The per-vertex hull step and the ``method="generic"`` sweep built on it
+The per-vertex hull step and the :func:`generic_bounds` sweep built on it
 restate the engine's pair-combine one vertex at a time.  Nothing else here
 shares its hull geometry: brute-force candidate enumeration plus a refining
 grid search over the hedge ratio, and textbook binomial / closed-form recursions.
@@ -14,7 +14,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grid import PROV_CONTINUATION, PROV_Q_MAX, Grid, _terminal_surfaces, payoff_eval
+from .engine import _bounds_from
+from .grid import PROV_CONTINUATION, PROV_Q_MAX, BoundsGrid, Grid, _terminal_surfaces, payoff_eval
 from .model import (
     GridSpec,
     NotZeroNeutralError,
@@ -216,6 +217,12 @@ def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray):
                     val, pv = Zl[i], PROV_Q_MAX
                 U[j, i], slope[j, i], prov[j, i] = val, sol.slope, pv
     return Us, slopes, provs
+
+
+def generic_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
+    """:func:`~trajbounds.engine.compute_bounds` with the per-vertex reference
+    sweep in place of the banded one: same surfaces, same errors."""
+    return _bounds_from(grid, rule, payoff, _sweep_generic)
 
 
 # --------------------------------------------------------------------------- #

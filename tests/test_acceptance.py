@@ -13,14 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from trajbounds.engine import (
-    band_bounds,
-    compute_bounds,
-    convex_hull_step,
-    hull_fast,
-    inject_arbitrage,
-    price,
-)
+from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.hedge import SHORT, sample_trajectory, simulate_pnl
 from trajbounds.model import (
@@ -32,7 +25,7 @@ from trajbounds.model import (
     spec_for_rule,
     spec_from_total_variance,
 )
-from trajbounds.oracle import brute_force_upper, crr_binomial
+from trajbounds.oracle import brute_force_upper, convex_hull_step, crr_binomial, hull_fast
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)

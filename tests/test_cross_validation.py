@@ -10,7 +10,7 @@ import numpy as np
 import trajbounds as tb
 from trajbounds.engine import compute_bounds, inject_arbitrage
 from trajbounds.grid import build_grid
-from trajbounds.oracle import InstanceTooLargeError, brute_force_upper
+from trajbounds.oracle import InstanceTooLargeError, brute_force_upper, generic_bounds
 
 PAYOFFS = (tb.Payoff.call(1.0), tb.Payoff.put(1.0), tb.Payoff.butterfly(1.0, 1.1),
            tb.Payoff.call(0.95), tb.Payoff.put(1.08))
@@ -61,8 +61,8 @@ def test_engine_sweeps_match_oracle_on_random_instances():
         except InstanceTooLargeError:
             continue
         grid = build_grid(spec)
-        lo, hi = compute_bounds(grid, rule, z, method="banded").price_interval()
-        glo, ghi = compute_bounds(grid, rule, z, method="generic").price_interval()
+        lo, hi = compute_bounds(grid, rule, z).price_interval()
+        glo, ghi = generic_bounds(grid, rule, z).price_interval()
         for x, y in ((lo, glo), (hi, ghi), (hi, bf_up), (lo, bf_lo)):
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y)), \
                 (rule.kind, n1, n2, lam, z.kind, x, y)

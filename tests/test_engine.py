@@ -4,16 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trajbounds.engine import (
-    band_bounds,
-    compute_bounds,
-    convex_hull_step,
-    hull_fast,
-    inject_arbitrage,
-    price,
-)
+from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price
 from trajbounds.grid import Payoff, build_grid
-from trajbounds.oracle import brute_force_upper
+from trajbounds.oracle import brute_force_upper, convex_hull_step, generic_bounds, hull_fast
 from trajbounds import oracle
 from trajbounds.model import (
     BinomialBandRule,
@@ -34,6 +27,7 @@ V0 = 0.0067
 CALL = Payoff.call(1.0)
 PUT = Payoff.put(1.0)
 BFLY = Payoff.butterfly(1.0, 1.1)
+SWEEPS = {"banded": compute_bounds, "generic": generic_bounds}
 
 
 def unit_spec(rule, n1, n2, lam=None, s0=1.0, step=0.05):
@@ -290,8 +284,8 @@ class TestComputeBounds:
             spec = unit_spec(rule, **kw)
             grid = build_grid(spec)
             for z in (CALL, PUT, BFLY):
-                a = compute_bounds(grid, rule, z, method="banded")
-                b = compute_bounds(grid, rule, z, method="generic")
+                a = compute_bounds(grid, rule, z)
+                b = generic_bounds(grid, rule, z)
                 for arr_a, arr_b in ((a.upper, b.upper), (a.lower, b.lower)):
                     both = np.isfinite(arr_a) & np.isfinite(arr_b)
                     assert np.array_equal(np.isfinite(arr_a), np.isfinite(arr_b))
@@ -335,10 +329,10 @@ class TestComputeBounds:
         # Not 0-neutral at the k = -5 edge: the named vertex is the reachable
         # unpriced one of highest j, then lowest k.
         grid = build_grid(unit_spec(rule, 5, 10))
-        for method in ("banded", "generic"):
+        for method, bounds in SWEEPS.items():
             calls.clear()
             with pytest.raises(NotZeroNeutralError) as e:
-                compute_bounds(grid, rule, CALL, method=method)
+                bounds(grid, rule, CALL)
             assert e.value.vertex == (-5, 9), method
             assert len(calls) == 1, method
 
@@ -372,8 +366,8 @@ class TestComputeBounds:
         # liquidation column each of its vertices stops, reachable or not.
         rule = DoubleStepRule()
         grid = build_grid(unit_spec(rule, 6, 6, lam=(3, 5, 6)))
-        for method in ("banded", "generic"):
-            b = compute_bounds(grid, rule, CALL, method=method)
+        for method, bounds in SWEEPS.items():
+            b = bounds(grid, rule, CALL)
             for k in grid.column_ks(5):
                 z = CALL.value_at(grid.price(k))
                 assert b.provenance_at(k, 5) == "Q_MAX", (method, k)
@@ -429,7 +423,7 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match="price level k=0"):
             price(spec, rule, z)
 
-    @pytest.mark.parametrize("method", ["banded", "generic"])
+    @pytest.mark.parametrize("method", SWEEPS)
     def test_payoff_read_once_as_terminal_row(self, method):
         # Both sweeps and every inner liquidation column read the one terminal
         # row: 2 * w(n2) + 1 payoff evaluations per compute_bounds.
@@ -445,17 +439,11 @@ class TestComputeBounds:
         spec = unit_spec(rule, 8, 8, lam=(3, 6, 8))
         grid = build_grid(spec)
         z = CountingPayoff()
-        b = compute_bounds(grid, rule, z, method=method)
+        b = SWEEPS[method](grid, rule, z)
         assert z.calls == 2 * spec.column_half_width(spec.n2) + 1
-        ref = compute_bounds(grid, rule, CALL, method=method)
+        ref = SWEEPS[method](grid, rule, CALL)
         for name in ("upper", "lower", "slope_up", "slope_dn", "prov"):
             assert np.array_equal(getattr(b, name), getattr(ref, name), equal_nan=True)
-
-    def test_unknown_method_rejected(self):
-        rule = MARule(2)
-        grid = build_grid(unit_spec(rule, 4, 4))
-        with pytest.raises(ValueError, match="'banded' or 'generic'"):
-            compute_bounds(grid, rule, CALL, method="bogus")
 
 
 class TestPriceOnly:

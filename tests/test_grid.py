@@ -28,14 +28,6 @@ class TestBuildGrid:
         expected = sum(2 * min(300, 3 * j) + 1 for j in range(201))
         assert grid.n_vertices == expected
 
-    def test_offset_round_trips(self):
-        grid = build_grid(unit_spec(2, 7, 5))
-        for o in range(grid.n_vertices):
-            k, j = grid.vertex(o)
-            assert grid.offset(k, j) == o
-        for k, j in grid.vertices():
-            assert grid.vertex(grid.offset(k, j)) == (k, j)
-
     def test_rejects_invalid_spec(self):
         with pytest.raises(ValueError):
             unit_spec(1, 11, 10)

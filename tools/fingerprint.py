@@ -9,9 +9,10 @@ and, for that spec:
   not-0-neutral vertices, ``ok``, summary text), and the ``reachable`` list
   and ``bands_at`` tuple of every in-grid vertex (every fourth column when
   ``n2 > 9``);
-* for each payoff, the five ``compute_bounds`` arrays by ``tobytes``, for the
-  banded sweep and, at ``n2 <= 9`` for three of the payoffs, the generic
-  reference sweep;
+* for each payoff, the five ``BoundsGrid`` arrays by ``tobytes``, of
+  ``engine.compute_bounds`` (labelled "banded") and, at ``n2 <= 9`` for three
+  of the payoffs, of the reference sweep ``oracle.generic_bounds``
+  (labelled "generic");
 * for each payoff, the ``price()`` interval and the bytes that
   ``BoundsGrid.to_csv`` writes for the banded bounds;
 * the ``sample_trajectory`` paths for seeds 0-19 and, for the call, the
@@ -48,7 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from trajbounds import cli, engine, hedge  # noqa: E402
+from trajbounds import cli, engine, hedge, oracle  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
     MARule, MBRule, ModifiedRule, reachable, spec_for_rule, validate_model)
@@ -57,6 +58,7 @@ from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
 STEP = 0.05
 N2S = (4, 9, 16, 25)
 GENERIC = ("put", "fly", "nan")  # payoffs that also run the generic sweep (n2 <= 9)
+SWEEPS = {"banded": engine.compute_bounds, "generic": oracle.generic_bounds}
 SEEDS = range(20)  # sampled trajectories per family
 N_PATHS = 20  # hedge-sim paths per family
 
@@ -147,7 +149,7 @@ def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> None:
     for name, payoff in payoffs(grid):
         h.add(name)
         for method in ("banded", "generic") if n2 <= 9 and name in GENERIC else ("banded",):
-            b = h.call(engine.compute_bounds, grid, rule, payoff, method=method)
+            b = h.call(SWEEPS[method], grid, rule, payoff)
             if b is None:
                 continue
             h.add(method, b.upper, b.lower, b.slope_up, b.slope_dn, b.prov)
