@@ -21,7 +21,7 @@ from .model import (
     validate_model,
 )
 from .grid import BoundsGrid, Grid, Payoff, build_grid, payoff_eval
-from .engine import band_bounds, compute_bounds, inject_arbitrage, price
+from .engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all
 from .oracle import (
     HullPoint,
     LocalSolution,

@@ -241,14 +241,11 @@ def cmd_converge(cfg: ExperimentConfig):
 
 def cmd_merton_scan(cfg: ExperimentConfig):
     s0_list = _nonempty("s0_list", cfg.get("s0_list", (0.8, 0.9, 1.0, 1.1, 1.2)))
-    n2 = int(cfg.get("N2", 100))
     rule = build_rule(cfg)
     payoff = build_payoff(cfg)
-    rows = []
-    for s0 in s0_list:
-        spec = build_spec(cfg, rule, n2=n2, s0=s0)
-        lo, hi = engine.price(spec, rule, payoff)
-        rows.append([s0, lo, hi, *_references(cfg, payoff, s0)[:2]])
+    spec = build_spec(cfg, rule, n2=int(cfg.get("N2", 100)), s0=s0_list[0])
+    bounds = engine.price_all(spec, rule, [(s0, payoff) for s0 in s0_list])
+    rows = [[s0, lo, hi, *_references(cfg, payoff, s0)[:2]] for s0, (lo, hi) in zip(s0_list, bounds)]
     header = ["s0", "lower", "upper", "merton_lb", "merton_ub"]
     chart = charts.ChartSpec(x="s0", ys=("lower", "upper", "merton_lb", "merton_ub"),
                              title=f"bounds vs s0 (p={rule.p})", x_label="s0",
@@ -268,10 +265,10 @@ def cmd_arbitrage_scan(cfg: ExperimentConfig):
     rows = []
     for frac in fractions:
         rule = engine.inject_arbitrage(base, float(frac), seed) if frac > 0 else base
-        for s0 in s0_list:
-            spec = build_spec(cfg, rule, n2=n2, s0=s0)
-            lo, hi = engine.price(spec, rule, payoff)
-            rows.append([frac, s0, lo, hi, _references(cfg, payoff, s0)[0]])
+        spec = build_spec(cfg, rule, n2=n2, s0=s0_list[0])
+        bounds = engine.price_all(spec, rule, [(s0, payoff) for s0 in s0_list])
+        rows += ([frac, s0, lo, hi, _references(cfg, payoff, s0)[0]]
+                 for s0, (lo, hi) in zip(s0_list, bounds))
     header = ["fraction", "s0", "lower", "upper", "merton_lb"]
     chart = charts.ChartSpec(x="s0", ys=("lower", "upper"), series=("fraction",),
                              title="bounds vs s0 under arbitrage nodes",
@@ -322,21 +319,16 @@ def cmd_vol_scan(cfg: ExperimentConfig):
     _check("vol_steps", steps, steps >= 1, ">= 1")
     s0 = float(cfg.get("s0", 1.0))
     d0 = math.sqrt(v0 / ref_steps)
-    if "model" not in cfg.values:
-        rule = MBRule(p_max=3, A=2)
-    else:
-        rule = build_rule(cfg)
-    payoffs = [("CALL", build_payoff(cfg, "call")),
-               ("BUTTERFLY", build_payoff(cfg, "butterfly"))]
+    rule = build_rule(cfg) if "model" in cfg.values else MBRule(p_max=3, A=2)
+    payoffs = [build_payoff(cfg, "call"), build_payoff(cfg, "butterfly")]
     rows = []
     for j in range(1, steps + 1):
         n2 = unit * j
         for mode, lam in (("single", (n2,)),
                           ("cumulative", tuple(unit * r for r in range(1, j + 1)))):
             spec = spec_for_rule(rule, s0=s0, delta=d0, beta=d0, n1=n2, n2=n2, lam=lam)
-            for kind, z in payoffs:
-                lo, hi = engine.price(spec, rule, z)
-                rows.append([j, n2 * d0 * d0, mode, kind, lo, hi])
+            bounds = engine.price_all(spec, rule, [(s0, z) for z in payoffs])
+            rows += ([j, n2 * d0 * d0, mode, z.kind, lo, hi] for z, (lo, hi) in zip(payoffs, bounds))
     header = ["j", "v_j", "mode", "payoff", "lower", "upper"]
     chart = charts.ChartSpec(x="j", ys=("lower", "upper"), series=("mode", "payoff"),
                              title="bounds vs accumulated variation",

@@ -8,12 +8,13 @@ step for whole grid columns and band-lattice periods (the per-vertex hull
 step that checks it is in ``oracle``).  The hedge slope is the support slope
 of that value nearest zero, so it superhedges every successor.  Upper and
 lower bounds come from one batched column sweep over the stacked terminal
-rows ``[Z, -Z]``: ``price`` holds only the next ``max_dj`` rows, while
-``compute_bounds`` keeps the full surfaces for hedging.
+rows ``[Z, -Z]``: ``compute_bounds`` keeps the full surfaces for hedging, and
+``price_all`` keeps only the roots of many ``(s0, payoff)`` points, as lanes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -222,24 +223,29 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     return _bounds_from(grid, rule, payoff, _banded_surfaces)
 
 
-def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:
-    """(lower, upper) worst-case price interval at the root vertex (0, 0).
+def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float, float]]:
+    """(lower, upper) worst-case price interval at the root vertex (0, 0) of
+    ``spec`` with each ``s0``, for each ``(s0, payoff)`` of ``points``.
 
-    One banded pass over ``[Z, -Z]`` that holds only the next ``max_dj``
-    rows (in a buffer of twice that) and keeps the root; it builds no
-    surface and no slope.  The sweep decides validity: an unpriced root
-    has a reachable unpriced vertex whose successors are all priced, which
-    the :func:`validate_model` audit codes not 0-neutral and raises as its
-    ``ModelValidationError``.
+    The sweep never reads ``s0``, so each point's terminal rows ``[Z, -Z]``
+    are two lanes of one banded pass, equal to a one-point pass bitwise.  It
+    keeps only the next ``max_dj`` rows and the roots.  An unpriced root is
+    the model's, not a point's: the :func:`validate_model` audit raises it.
     """
-    grid = build_grid(spec)
-    for _, V, *_ in _sweep_banded(grid, rule, _terminal_rows(payoff, grid.prices.tolist(), -spec.n1)):
+    grids = [(build_grid(dataclasses.replace(spec, s0=s0)), payoff) for s0, payoff in points]
+    Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
+    for _, V, *_ in _sweep_banded(grids[0][0], rule, Z):
         pass
-    hi, lo = V[:, spec.n1].tolist()
-    if math.isnan(hi):
+    roots = V[:, spec.n1].tolist()
+    if any(map(math.isnan, roots)):
         validate_model(spec, rule).raise_if_failed()
         raise NotZeroNeutralError()
-    return -lo, hi
+    return [(-lo, hi) for hi, lo in zip(roots[::2], roots[1::2])]
+
+
+def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:
+    """(lower, upper) at the root: :func:`price_all` of the one point ``(spec.s0, payoff)``."""
+    return price_all(spec, rule, [(spec.s0, payoff)])[0]
 
 
 def inject_arbitrage(rule: TransitionRule, fraction: float, seed: int) -> ModifiedRule:

@@ -64,13 +64,25 @@ class TestExitCodes:
         assert main(["price", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["validate", "price", "hedge-sim"])
+    @pytest.mark.parametrize("command", ["validate", "price", "hedge-sim", "merton-scan",
+                                         "arbitrage-scan"])
     def test_validation_failure_exit(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path / "bad.cfg",
                         "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert ("validation failure: 10 reachable vertices are not 0-neutral, first (-5, 5)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["merton-scan", "arbitrage-scan"])
+    def test_scan_checks_every_spot_before_pricing(self, tmp_path, capsys, command):
+        # Every point's spec is built before the one sweep, so a bad spot
+        # anywhere in s0_list is a config error even on an invalid model.
+        cfg = write_cfg(tmp_path / "bad.cfg", "model = ma\np = 3\nN1 = 5\nN2 = 10\n"
+                                              "v0 = 0.0067\ns0_list = 1.0,-1.0\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: s0 must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [
         ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = -5\n"),
@@ -279,6 +291,24 @@ class TestCommands:
         # The inner liquidation column is exercised: some paths stop on it.
         assert any(hedge.sample_trajectory(rule, grid, seed=seed + t).terminal[1] == 10
                    for t in range(15))
+
+    @pytest.mark.parametrize("command, text, sweeps", [
+        ("merton-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\n", 1),
+        ("arbitrage-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nseed = 1\n"
+                           "fraction_list = 0,0.1,0.3\n", 3),
+        ("vol-scan", "vol_unit = 5\nvol_steps = 3\n", 2 * 3),
+    ], ids=["merton-scan", "arbitrage-scan", "vol-scan"])
+    def test_scan_sweeps_once_per_grid_shape(self, tmp_path, monkeypatch, command, text, sweeps):
+        # Spots and payoffs on one grid shape are lanes of one sweep.
+        sweep = engine._sweep_banded
+        calls = []
+        monkeypatch.setattr(engine, "_sweep_banded",
+                            lambda grid, rule, Z: calls.append(len(Z)) or sweep(grid, rule, Z))
+        assert main([command, "--config", write_cfg(tmp_path / "a.cfg", text),
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()[1:]
+        assert len(calls) == sweeps
+        assert sum(calls) == 2 * len(rows)  # one [Z, -Z] lane pair per CSV row
 
     def test_vol_scan_convex_upper_equality(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg",

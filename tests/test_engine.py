@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price
+from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all
 from trajbounds.grid import Payoff, build_grid
 from trajbounds.oracle import brute_force_upper, convex_hull_step, generic_bounds, hull_fast
 from trajbounds import oracle
@@ -509,6 +510,74 @@ class TestPriceOnly:
         rule = Understated()
         with pytest.raises(ValueError, match=r"band \(1, 2, 3\)"):
             price(unit_spec(rule, 4, 4), rule, CALL)
+
+
+class NanAbove:
+    """A call that is NaN at prices above 1.5."""
+
+    def value_at(self, s):
+        return math.nan if s > 1.5 else CALL.value_at(s)
+
+
+class TestPriceAll:
+    SPOTS = (0.8, 0.9, 1.0, 1.1, 1.2)
+
+    @staticmethod
+    def separately(spec, rule, points):
+        """price() of each point on its own spec, or the error it raises."""
+        out = []
+        for s0, z in points:
+            try:
+                out.append(price(dataclasses.replace(spec, s0=s0), rule, z))
+            except (ValueError, ArithmeticError) as e:
+                out.append((type(e), str(e)))
+        return out
+
+    @pytest.mark.parametrize("rule", [
+        bjn_rule(), MARule(3), MARule(3, allow_flat=True), MBRule(3, 2),
+        inject_arbitrage(MARule(3), 0.1, 1)], ids=["BJN", "MA3", "MA3-flat", "MB3A2", "inject"])
+    @pytest.mark.parametrize("n2", [20, 60])
+    @pytest.mark.parametrize("full_cone", [False, True])
+    def test_lanes_equal_separate_prices_bitwise(self, rule, n2, full_cone):
+        # repr of both floats, so zero signs count; a permuted point order
+        # permutes the results and nothing else.
+        step = math.sqrt(V0 / n2)
+        spec = spec_for_rule(rule, 1.0, step, step, rule.p * n2 if full_cone else n2, n2,
+                             lam=(n2 // 2, n2))
+        points = [(s0, z) for s0 in self.SPOTS for z in (CALL, PUT, BFLY)]
+        want = self.separately(spec, rule, points)
+        assert all(isinstance(w[0], float) for w in want)
+        assert repr(price_all(spec, rule, points)) == repr(want)
+        order = np.random.default_rng(n2).permutation(len(points)).tolist()
+        assert repr(price_all(spec, rule, [points[i] for i in order])) == repr([want[i] for i in order])
+
+    def test_invalid_model_raises_price_error(self):
+        rule = MARule(3)
+        spec = unit_spec(rule, 5, 10)
+        with pytest.raises(ModelValidationError) as want:
+            price(spec, rule, CALL)
+        with pytest.raises(ModelValidationError) as got:
+            price_all(spec, rule, [(s0, z) for s0 in self.SPOTS for z in (CALL, BFLY)])
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad, text", [
+        (2.0, "price level k=-4"), (-1.0, "s0 must be positive"),
+        (math.nan, "top price s0 * exp(n1 * delta) is not finite")])
+    def test_bad_point_raises_its_own_price_error(self, bad, text):
+        z = NanAbove()  # finite on every level at s0 = 1, not at s0 = 2
+        rule = bjn_rule()
+        spec = unit_spec(rule, 4, 4)
+        points = [(1.0, z), (bad, z), (1.1, z)]
+        (_, ok), (err, msg), _ = self.separately(spec, rule, points)
+        assert isinstance(ok, float) and text in msg
+        with pytest.raises(err) as got:
+            price_all(spec, rule, points)
+        assert type(got.value) is err and str(got.value) == msg
+
+    def test_no_points_rejected(self):
+        rule = bjn_rule()
+        with pytest.raises(ValueError):
+            price_all(unit_spec(rule, 4, 4), rule, [])
 
 
 class TestInjectArbitrage:

@@ -1,16 +1,17 @@
 """Metamorphic invariants of the bounds at N2 in the hundreds, past the oracle's reach.
 
-Each property draws a rule (BJN, MA or MB), a grid of N2 = 100..400 columns
-with n1 = N2 and one inner liquidation column, a spot and a strike.  The
-examples are derandomized and no example database is kept, so every run
-checks the same cases.
+Each property draws a rule (BJN, MA with or without flat moves, or MB), a
+grid of N2 = 100..400 columns with n1 = N2 and one inner liquidation column, a
+spot and a strike.  Prices on one grid shape come from one ``price_all``
+sweep.  The examples are derandomized and no example database is kept, so
+every run checks the same cases.
 """
 
 from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
-from trajbounds.engine import compute_bounds, price
+from trajbounds.engine import compute_bounds, price, price_all
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.hedge import LONG, SHORT, ledger_finals, sample_trajectories
 from trajbounds.model import MARule, MBRule, spec_from_total_variance
@@ -25,6 +26,7 @@ class Case:
     family: str  # BJN | MA | MB
     p: int
     a: int
+    flat: bool  # MA only: flat moves allowed
     n2: int
     inner: int  # the inner liquidation column
     s0: float
@@ -32,7 +34,7 @@ class Case:
 
     def rule(self, p=None):
         p = self.p if p is None else p
-        return MBRule(p, self.a) if self.family == "MB" else MARule(p)
+        return MBRule(p, self.a) if self.family == "MB" else MARule(p, allow_flat=self.flat)
 
     def spec(self, rule, s0=None):
         return spec_from_total_variance(rule, self.s0 if s0 is None else s0, V0, self.n2,
@@ -44,8 +46,9 @@ def cases(draw):
     family = draw(st.sampled_from(["BJN", "MA", "MB"]))
     p = 1 if family == "BJN" else draw(st.integers(2, 4))
     a = draw(st.integers(2, p * p)) if family == "MB" else 1
+    flat = draw(st.booleans()) if family == "MA" else False
     n2 = draw(st.integers(100, 400))
-    return Case(family, p, a, n2, draw(st.integers(1, n2 - 1)),
+    return Case(family, p, a, flat, n2, draw(st.integers(1, n2 - 1)),
                 draw(st.floats(0.8, 1.25)), draw(st.floats(0.8, 1.25)))
 
 
@@ -54,8 +57,8 @@ def cases(draw):
 def test_put_call_parity(case):
     rule = case.rule()
     spec = case.spec(rule)
-    c_lo, c_hi = price(spec, rule, Payoff.call(case.strike))
-    p_lo, p_hi = price(spec, rule, Payoff.put(case.strike))
+    (c_lo, c_hi), (p_lo, p_hi) = price_all(
+        spec, rule, [(case.s0, Payoff.call(case.strike)), (case.s0, Payoff.put(case.strike))])
     assert c_lo <= c_hi and p_lo <= p_hi
     assert abs((c_hi - p_hi) - (case.s0 - case.strike)) <= TOL
     assert abs((c_lo - p_lo) - (case.s0 - case.strike)) <= TOL
@@ -68,8 +71,7 @@ def test_translation_by_a_constant(case, c):
     spec = case.spec(rule)
     call = Payoff.call(case.strike)
     shifted = Payoff.from_table({s: call.value_at(s) + c for s in build_grid(spec).prices.tolist()})
-    lo, hi = price(spec, rule, call)
-    s_lo, s_hi = price(spec, rule, shifted)
+    (lo, hi), (s_lo, s_hi) = price_all(spec, rule, [(case.s0, call), (case.s0, shifted)])
     assert abs(s_lo - (lo + c)) <= TOL and abs(s_hi - (hi + c)) <= TOL
 
 
@@ -77,8 +79,8 @@ def test_translation_by_a_constant(case, c):
 @given(cases(), st.floats(0.25, 8.0))
 def test_homogeneity_in_spot_and_strike(case, lam):
     rule = case.rule()
-    lo, hi = price(case.spec(rule), rule, Payoff.call(case.strike))
-    l_lo, l_hi = price(case.spec(rule, s0=lam * case.s0), rule, Payoff.call(lam * case.strike))
+    (lo, hi), (l_lo, l_hi) = price_all(case.spec(rule), rule, [
+        (case.s0, Payoff.call(case.strike)), (lam * case.s0, Payoff.call(lam * case.strike))])
     assert abs(l_lo - lam * lo) <= TOL * lam and abs(l_hi - lam * hi) <= TOL * lam
 
 
@@ -87,8 +89,8 @@ def test_homogeneity_in_spot_and_strike(case, lam):
 def test_lower_below_upper(case):
     rule = case.rule()
     spec = case.spec(rule)
-    for z in (Payoff.call(case.strike), Payoff.butterfly(case.strike, case.strike + 0.1)):
-        lo, hi = price(spec, rule, z)
+    zs = (Payoff.call(case.strike), Payoff.butterfly(case.strike, case.strike + 0.1))
+    for z, (lo, hi) in zip(zs, price_all(spec, rule, [(case.s0, z) for z in zs])):
         assert lo <= hi, z
 
 

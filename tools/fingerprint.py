@@ -22,9 +22,11 @@ and, for that spec:
   ``n_paths`` set;
 * the type and text of every error any of these raise.
 
-Two more families hash ``bands()``, ``kind``, ``repr``, ``p`` and
-``max_dj`` of MA and MB rules for p = 1..9, and the ``ModifiedRule``
-selections.  To check that a refactor leaves every result
+More families hash ``bands()``, ``kind``, ``repr``, ``p`` and ``max_dj`` of
+MA and MB rules for p = 1..9, the ``ModifiedRule`` selections, and the exit
+code, error text, CSV and SVG of ``merton-scan``, ``arbitrage-scan`` and
+``vol-scan --svg`` on one valid and one invalid config each.  To check that
+a refactor leaves every result
 bitwise equal, run the script on both trees and compare::
 
     python3 tools/fingerprint.py > after.txt     # in each checkout
@@ -61,6 +63,15 @@ GENERIC = ("put", "fly", "nan")  # payoffs that also run the generic sweep (n2 <
 SWEEPS = {"banded": engine.compute_bounds, "generic": oracle.generic_bounds}
 SEEDS = range(20)  # sampled trajectories per family
 N_PATHS = 20  # hedge-sim paths per family
+BAD_MODEL = "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n"  # not 0-neutral at k = -5
+SCANS = {  # command: (valid config, invalid config)
+    "merton-scan": ("model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nsigma = 0.2\nT = 0.1667\n",
+                    BAD_MODEL),
+    "arbitrage-scan": ("model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nseed = 1\n"
+                       "fraction_list = 0,0.1,0.3\n", BAD_MODEL),
+    "vol-scan": ("model = mb\np = 3\nA = 2\nvol_unit = 5\nvol_steps = 4\nK1 = 0.98\n",
+                 "vol_unit = 5\nvol_steps = 2\nK = nan\n"),
+}
 
 
 def rules():
@@ -116,16 +127,17 @@ def identity(rule) -> tuple:
     return rule.kind, name, rule.p, rule.max_dj
 
 
-def hedge_sim(h: Hasher, rule, spec, tmp: Path) -> None:
-    cfg = tmp / "hedge.cfg"
-    cfg.write_text(cli.config_text(rule, spec, Payoff.call(1.0)) + f"n_paths = {N_PATHS}\n")
+def run_cli(h: Hasher, command: str, text: str, tmp: Path) -> None:
+    """Hash the exit code, error text, CSV and SVG of ``trajbounds <command> --svg``."""
+    cfg = tmp / "run.cfg"
+    cfg.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["hedge-sim", "--config", str(cfg), "--out", str(tmp), "--svg"])
-    h.add("hedge-sim", code, err.getvalue())
-    for name in ("hedge_sim.csv", "hedge_sim.svg"):
-        path = tmp / name
-        h.add(name, path.read_bytes() if path.exists() else None)
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp), "--svg"])
+    h.add(command, code, err.getvalue())
+    stem = command.replace("-", "_")
+    for path in (tmp / f"{stem}.csv", tmp / f"{stem}.svg"):
+        h.add(path.name, path.read_bytes() if path.exists() else None)
         path.unlink(missing_ok=True)
 
 
@@ -164,7 +176,8 @@ def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> None:
                         h.add(ledger and (ledger.final, ledger.payoff, ledger.rows))
         h.add("price", h.call(engine.price, spec, rule, payoff))
     if rule.kind in ("BJN", "MA", "MB"):
-        hedge_sim(h, rule, spec, tmp)
+        run_cli(h, "hedge-sim", cli.config_text(rule, spec, Payoff.call(1.0))
+                + f"n_paths = {N_PATHS}\n", tmp)
 
 
 def main() -> None:
@@ -196,6 +209,11 @@ def main() -> None:
                     family(h, rule, n1, n2, lam, Path(tmp))
                     print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))} "
                           f"{h.h.hexdigest()}")
+        for command, configs in SCANS.items():
+            for label, text in zip(("valid", "invalid"), configs):
+                h = Hasher()
+                run_cli(h, command, text, Path(tmp))
+                print(f"scan {command} {label} {h.h.hexdigest()}")
 
 
 if __name__ == "__main__":
