@@ -24,7 +24,6 @@ from .model import (
     MBRule,
     ModelValidationError,
     NodeClass,
-    NotZeroNeutralError,
     TransitionRule,
     bjn_rule,
     spec_for_rule,
@@ -283,11 +282,7 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
     n_paths = int(cfg.get("n_paths", 200))
     _check("n_paths", n_paths, n_paths >= 1, ">= 1")
     grid = build_grid(spec)
-    try:
-        bounds = engine.compute_bounds(grid, rule, payoff)
-    except NotZeroNeutralError:
-        validate_model(spec, rule).raise_if_failed()
-        raise
+    bounds = engine.compute_bounds(grid, rule, payoff)
     lo, hi = bounds.price_interval()
     seed = int(cfg.get("seed", 0))
     runs = {hedge.SHORT: (hi + float(cfg.get("eps_short_hi", 0.01)),

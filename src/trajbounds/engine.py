@@ -35,7 +35,6 @@ from .model import (
     TransitionRule,
     _clipped_bands,
     reachable,  # noqa: F401  perfbench's tracer counts calls of engine.reachable
-    reachable_masks,
     shift_row,
     validate_model,
 )
@@ -190,15 +189,20 @@ def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
     return U, S, P
 
 
+def _priced(spec: GridSpec, rule: TransitionRule, roots: list) -> list:
+    """``roots`` once none is NaN.  Payoffs are finite, so an unpriced root is
+    the model's: the :func:`validate_model` audit explains it."""
+    if any(map(math.isnan, roots)):
+        validate_model(spec, rule).raise_if_failed()
+        raise NotZeroNeutralError()
+    return roots
+
+
 def _bounds_from(grid: Grid, rule: TransitionRule, payoff, surfaces) -> BoundsGrid:
     """:class:`BoundsGrid` of the stacked surfaces that ``surfaces(grid, rule, Z)``
-    sweeps from the terminal rows ``[Z, -Z]``; names the vertex of an unpriced root."""
+    sweeps from the terminal rows ``[Z, -Z]``, or the audit's error."""
     U, slope, prov = surfaces(grid, rule, _terminal_rows(payoff, grid.prices.tolist(), -grid.spec.n1))
-    n1 = grid.spec.n1
-    if math.isnan(U[0, 0, n1]):
-        bad = reachable_masks(grid.spec, rule) & np.isnan(U[0])
-        j = int(np.flatnonzero(bad.any(axis=1))[-1])
-        raise NotZeroNeutralError((int(np.flatnonzero(bad[j])[0]) - n1, j))
+    _priced(grid.spec, rule, U[:, 0, grid.spec.n1].tolist())
     np.negative(U[1], out=U[1])
     return BoundsGrid(grid, payoff, U[0], U[1], slope[0], slope[1], prov[0])
 
@@ -216,9 +220,8 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
 
     The sweep prices every vertex it can, reachable from (0, 0) or not, and
     leaves the rest NaN.  An unpriced reachable vertex leaves the root
-    unpriced too; only then does one reachability pass name the vertex in
-    the :class:`NotZeroNeutralError`: the reachable unpriced one of highest
-    ``j``, then lowest ``k``.
+    unpriced too; only then does the audit run, and its
+    :class:`ModelValidationError` reports the vertices that are not 0-neutral.
     """
     return _bounds_from(grid, rule, payoff, _banded_surfaces)
 
@@ -229,17 +232,13 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
 
     The sweep never reads ``s0``, so each point's terminal rows ``[Z, -Z]``
     are two lanes of one banded pass, equal to a one-point pass bitwise.  It
-    keeps only the next ``max_dj`` rows and the roots.  An unpriced root is
-    the model's, not a point's: the :func:`validate_model` audit raises it.
+    keeps only the next ``max_dj`` rows and the roots; an unpriced root raises the audit's error.
     """
     grids = [(build_grid(dataclasses.replace(spec, s0=s0)), payoff) for s0, payoff in points]
     Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
     for _, V, *_ in _sweep_banded(grids[0][0], rule, Z):
         pass
-    roots = V[:, spec.n1].tolist()
-    if any(map(math.isnan, roots)):
-        validate_model(spec, rule).raise_if_failed()
-        raise NotZeroNeutralError()
+    roots = _priced(spec, rule, V[:, spec.n1].tolist())
     return [(-lo, hi) for hi, lo in zip(roots[::2], roots[1::2])]
 
 

@@ -99,6 +99,8 @@ class GridSpec:
         if not math.isfinite(top):
             raise ValueError(f"top price s0 * exp(n1 * delta) is not finite for "
                              f"s0={self.s0!r}, delta={self.delta!r}, n1={self.n1}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
 
     @property
     def d(self) -> float:
@@ -328,24 +330,16 @@ class ModifiedRule(TransitionRule):
         return self.p ** 2
 
     def selection(self, spec: GridSpec) -> frozenset[Vertex]:
-        # Base reachability reads only the grid shape, so specs that differ in
-        # s0, delta, beta or lam share one selection.
-        cache = self._cache  # type: ignore[attr-defined]
-        key = ("sel", spec.n1, spec.n2, spec.p)
-        got = cache.get(key)
-        if got is None:
-            pool = _vertex_list(spec, reachable_masks(spec, self.base)[:spec.n2])
-            rng = np.random.default_rng(self.seed)
-            order = rng.permutation(len(pool))
-            n_sel = int(round(self.fraction * len(pool)))
-            got = frozenset(pool[i] for i in order[:n_sel])
-            cache[key] = got
-        return got
+        pool = _vertex_list(spec, reachable_masks(spec, self.base)[:spec.n2])
+        order = np.random.default_rng(self.seed).permutation(len(pool))
+        return frozenset(pool[i] for i in order[:int(round(self.fraction * len(pool)))])
 
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
-        # Built once per grid shape, like the selection; callers must not mutate them.
+        # Base reachability reads only the grid shape, so specs that differ in
+        # s0, delta, beta or lam share one selection: the bands of every column
+        # are built once per shape, and callers must not mutate them.
         cache = self._cache  # type: ignore[attr-defined]
-        key = ("bands", spec.n1, spec.n2, spec.p)
+        key = (spec.n1, spec.n2, spec.p)
         got = cache.get(key)
         if got is None:
             sel = np.zeros((spec.n2 + 1, spec.width), dtype=bool)

@@ -220,8 +220,8 @@ def _sweep_generic(grid: Grid, rule: TransitionRule, Z: np.ndarray):
 
 
 def generic_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
-    """:func:`~trajbounds.engine.compute_bounds` with the per-vertex reference
-    sweep in place of the banded one: same surfaces, same errors."""
+    """:func:`~trajbounds.engine.compute_bounds` with the per-vertex reference sweep
+    in place of the banded one: same surfaces, same audit error."""
     return _bounds_from(grid, rule, payoff, _sweep_generic)
 
 
@@ -352,10 +352,10 @@ def _norm_cdf(x: float) -> float:
 def black_scholes(s0: float, strike: float, sigma: float, years: float,
                   kind: str = "CALL") -> float:
     """Zero-rate Black-Scholes price via the error-function normal CDF."""
-    if s0 <= 0.0 or sigma <= 0.0 or years <= 0.0:
-        raise ValueError("s0, sigma and years must be positive")
-    if strike < 0.0:
-        raise ValueError("strike must be non-negative")
+    if not all(0.0 < x < math.inf for x in (s0, sigma, years)):
+        raise ValueError(f"s0, sigma and years must be positive and finite, got {(s0, sigma, years)}")
+    if not 0.0 <= strike < math.inf:
+        raise ValueError(f"strike must be non-negative and finite, got {strike!r}")
     kind = kind.upper()
     if kind not in ("CALL", "PUT"):
         raise ValueError(f"unsupported option kind {kind!r}")

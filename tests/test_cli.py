@@ -98,9 +98,13 @@ class TestExitCodes:
         ("price", "model = bjn\nN2 = 10\nv0 = -1\n"),
         ("price", "model = bjn\nN2 = 0\nv0 = 0.0067\n"),
         ("vol-scan", "vol_ref_steps = 0\nvol_steps = 2\n"),
+        ("price", "model = ma\np = 2\nN2 = 10\nv0 = 0.0067\nsigma = 0.2\nT = inf\n"),
+        ("price", "model = ma\np = 2\nN2 = 10\nv0 = 0.0067\nsigma = nan\nT = 0.1667\n"),
+        ("price", "model = ma\np = 2\nN2 = 10\ndelta = 0.05\nbeta = nan\n"),
     ], ids=["n_paths_negative", "n_paths_zero", "exp_overflow", "s0_overflow", "workers",
             "p_zero", "butterfly_strikes_reversed", "strike_nan", "fraction_above_one",
-            "vol_unit_zero", "v0_negative", "n2_zero", "vol_ref_steps_zero"])
+            "vol_unit_zero", "v0_negative", "n2_zero", "vol_ref_steps_zero", "years_inf",
+            "sigma_nan", "beta_nan"])
     def test_config_error_exit(self, tmp_path, capsys, command, text):
         cfg = write_cfg(tmp_path / "a.cfg", text)
         out = tmp_path / "out"

@@ -17,7 +17,6 @@ from trajbounds.model import (
     NotZeroNeutralError,
     bjn_rule,
     reachable,
-    reachable_masks,
     spec_for_rule,
     spec_from_total_variance,
     validate_model,
@@ -309,48 +308,34 @@ class TestComputeBounds:
     def test_not_zero_neutral_propagates_vertex(self):
         rule = MARule(3)
         spec = unit_spec(rule, 5, 10)
-        with pytest.raises(ModelValidationError):
+        with pytest.raises(ModelValidationError) as want:
             price(spec, rule, CALL)  # the audit explains the sweep's failure
-        grid = build_grid(spec)
-        with pytest.raises(NotZeroNeutralError) as e:
-            compute_bounds(grid, rule, CALL)
-        assert e.value.vertex is not None
+        with pytest.raises(ModelValidationError) as got:
+            compute_bounds(build_grid(spec), rule, CALL)
+        assert str(got.value) == str(want.value)
+        # Not 0-neutral at the k = -5 edge: the report holds the reachable
+        # unpriced vertex of highest j, then lowest k.
+        assert (-5, 9) in got.value.report.not_zero_neutral
 
-    def test_reach_pass_only_when_root_unpriced(self, monkeypatch):
-        calls = []
-
-        def counted(spec, rule):
-            calls.append(spec)
-            return reachable_masks(spec, rule)
-
-        monkeypatch.setattr("trajbounds.engine.reachable_masks", counted)
-        rule = MARule(3)
-        compute_bounds(build_grid(unit_spec(rule, 10, 10, lam=(5, 10))), rule, CALL)
-        assert calls == []
-        # Not 0-neutral at the k = -5 edge: the named vertex is the reachable
-        # unpriced one of highest j, then lowest k.
-        grid = build_grid(unit_spec(rule, 5, 10))
-        for method, bounds in SWEEPS.items():
-            calls.clear()
-            with pytest.raises(NotZeroNeutralError) as e:
-                bounds(grid, rule, CALL)
-            assert e.value.vertex == (-5, 9), method
-            assert len(calls) == 1, method
-
-    def test_audit_only_when_root_unpriced(self, monkeypatch):
+    @pytest.mark.parametrize("fn", [price, compute_bounds, generic_bounds],
+                             ids=["price", "compute_bounds", "generic_bounds"])
+    def test_audit_only_when_root_unpriced(self, monkeypatch, fn):
         calls = []
 
         def counted(spec, rule):
             calls.append(spec)
             return validate_model(spec, rule)
 
+        def run(spec):
+            return fn(spec if fn is price else build_grid(spec), rule, CALL)
+
         monkeypatch.setattr("trajbounds.engine.validate_model", counted)
         rule = MARule(3)
-        price(unit_spec(rule, 10, 10, lam=(5, 10)), rule, CALL)
+        run(unit_spec(rule, 10, 10, lam=(5, 10)))
         assert calls == []
         spec = unit_spec(rule, 5, 10)
         with pytest.raises(ModelValidationError) as got:
-            price(spec, rule, CALL)
+            run(spec)
         assert len(calls) == 1
         with pytest.raises(ModelValidationError) as want:
             validate_model(spec, rule).raise_if_failed()
@@ -474,9 +459,12 @@ class TestPriceOnly:
                     case = (rule, n1, n2, lam, z)
                     try:
                         want = compute_bounds(build_grid(spec), rule, z).price_interval()
-                    except NotZeroNeutralError:
-                        with pytest.raises(ModelValidationError):
-                            price(spec, rule, z)
+                    except ModelValidationError as e:
+                        # The audit's text is the model's: the slow reference sweep checks it once.
+                        for fn in (price, generic_bounds) if z is CALL else (price,):
+                            with pytest.raises(ModelValidationError) as got:
+                                fn(spec if fn is price else build_grid(spec), rule, z)
+                            assert str(got.value) == str(e), case
                         continue
                     assert np.array(price(spec, rule, z)).tobytes() == np.array(want).tobytes(), case
                     priced += 1

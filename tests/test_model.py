@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,9 @@ class TestGridSpec:
             GridSpec(0.0, 0.01, 0.01, 1, 1, 5, 5, lam=(5,))
         with pytest.raises(ValueError):
             GridSpec(1.0, -0.01, 0.01, 1, 1, 5, 5, lam=(5,))
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                GridSpec(1.0, 0.01, beta, 1, 1, 5, 5, lam=(5,))
 
     @pytest.mark.parametrize("s0, delta, n1", [(1.0, 1.0, 710), (1e300, 0.1, 200)])
     def test_rejects_overflowing_top_price(self, s0, delta, n1):
@@ -494,13 +499,20 @@ class TestModifiedSelection:
         assert len(a) == round(0.3 * pool)
         assert all(j < spec.n2 for _, j in a)
 
-    def test_selection_cached_per_grid_shape(self):
-        # The selection reads only (n1, n2, p), so an s0 scan computes it once.
+    def test_selection_cached_per_grid_shape(self, monkeypatch):
+        # The selection reads only (n1, n2, p), so an s0 scan computes it,
+        # and so its one base reachability pass, once.
+        calls = []
+
+        def counted(spec, rule):
+            calls.append(spec)
+            return reachable_masks(spec, rule)
+
         rule = ModifiedRule(base=MARule(3), fraction=0.1, seed=1)
-        sels = []
-        for s0 in (0.9, 1.0, 1.1):
-            spec = spec_from_total_variance(rule, s0, 0.0067, 60)
+        specs = [spec_from_total_variance(rule, s0, 0.0067, 60) for s0 in (0.9, 1.0, 1.1)]
+        monkeypatch.setattr("trajbounds.model.reachable_masks", counted)
+        for spec in specs:
             price(spec, rule, Payoff.call(1.0))
-            sels.append(rule.selection(spec))
-        assert len(rule._cache) == 2
-        assert sels[0] == sels[1] == sels[2]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rule.selection(specs[0]) == rule.selection(specs[1]) == rule.selection(specs[2])

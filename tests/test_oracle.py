@@ -68,6 +68,10 @@ class TestBlackScholes:
             black_scholes(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             black_scholes(1.0, 1.0, 0.2, 1.0, "STRADDLE")
+        for args in ((1.0, 1.0, math.nan, 1.0), (1.0, 1.0, 0.2, math.inf),
+                     (math.nan, 1.0, 0.2, 1.0), (1.0, math.nan, 0.2, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                black_scholes(*args)
 
 
 class TestMertonEnvelope:

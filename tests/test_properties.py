@@ -2,7 +2,10 @@
 
 Each property draws a rule (BJN, MA with or without flat moves, or MB), a
 grid of N2 = 100..400 columns with n1 = N2 and one inner liquidation column, a
-spot and a strike.  Prices on one grid shape come from one ``price_all``
+spot and a strike.  All but widening in p also draw MA p = 2, 3 with a seeded
+fraction 0.1 or 0.3 of arbitrage nodes injected (INJ), on N2 = 100..200 with
+n1 = p * N2: the full cone, so every move stays in the grid and the model
+stays 0-neutral.  Prices on one grid shape come from one ``price_all``
 sweep.  The examples are derandomized and no example database is kept, so
 every run checks the same cases.
 """
@@ -11,10 +14,10 @@ from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
-from trajbounds.engine import compute_bounds, price, price_all
+from trajbounds.engine import compute_bounds, inject_arbitrage, price, price_all
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.hedge import LONG, SHORT, ledger_finals, sample_trajectories
-from trajbounds.model import MARule, MBRule, spec_from_total_variance
+from trajbounds.model import MARule, MBRule, spec_for_rule, spec_from_total_variance
 
 V0 = 0.0067
 TOL = 1e-12
@@ -23,7 +26,7 @@ CHECK = settings(derandomize=True, database=None, deadline=None, max_examples=15
 
 @dataclass(frozen=True)
 class Case:
-    family: str  # BJN | MA | MB
+    family: str  # BJN | MA | MB | INJ
     p: int
     a: int
     flat: bool  # MA only: flat moves allowed
@@ -31,19 +34,32 @@ class Case:
     inner: int  # the inner liquidation column
     s0: float
     strike: float
+    fraction: float = 0.0  # INJ only: the injected share and its seed
+    seed: int = 0
 
     def rule(self, p=None):
         p = self.p if p is None else p
+        if self.family == "INJ":
+            return inject_arbitrage(MARule(p), self.fraction, self.seed)
         return MBRule(p, self.a) if self.family == "MB" else MARule(p, allow_flat=self.flat)
 
     def spec(self, rule, s0=None):
-        return spec_from_total_variance(rule, self.s0 if s0 is None else s0, V0, self.n2,
-                                        lam=(self.inner, self.n2))
+        s0 = self.s0 if s0 is None else s0
+        lam = (self.inner, self.n2)
+        if self.family == "INJ":
+            step = (V0 / self.n2) ** 0.5
+            return spec_for_rule(rule, s0, step, step, rule.p * self.n2, self.n2, lam)
+        return spec_from_total_variance(rule, s0, V0, self.n2, lam=lam)
 
 
 @st.composite
-def cases(draw):
-    family = draw(st.sampled_from(["BJN", "MA", "MB"]))
+def cases(draw, injected=True):
+    family = draw(st.sampled_from(["BJN", "MA", "MB", "INJ"] if injected else ["BJN", "MA", "MB"]))
+    if family == "INJ":
+        p, n2 = draw(st.sampled_from([2, 3])), draw(st.integers(100, 200))
+        return Case(family, p, 1, False, n2, draw(st.integers(1, n2 - 1)),
+                    draw(st.floats(0.8, 1.25)), draw(st.floats(0.8, 1.25)),
+                    draw(st.sampled_from([0.1, 0.3])), draw(st.integers(0, 10**6)))
     p = 1 if family == "BJN" else draw(st.integers(2, 4))
     a = draw(st.integers(2, p * p)) if family == "MB" else 1
     flat = draw(st.booleans()) if family == "MA" else False
@@ -95,7 +111,7 @@ def test_lower_below_upper(case):
 
 
 @CHECK
-@given(cases())
+@given(cases(injected=False))  # a different p draws a different selection
 def test_widening_in_p(case):
     narrow, wide = case.rule(), case.rule(case.p + 1)
     z = Payoff.butterfly(case.strike, case.strike + 0.1)

@@ -32,6 +32,11 @@ bitwise equal, run the script on both trees and compare::
     python3 tools/fingerprint.py > after.txt     # in each checkout
     diff before.txt after.txt
 
+Each family line ends in the ``validate_model`` verdict of its spec: ``ok``,
+``invalid``, or ``-`` when there is no report (the spec is rejected).  A
+deliberate change to what an invalid model raises should then change only
+lines that end in ``invalid``.
+
 It imports the package from ``src/`` and the test-only rules from
 ``tests/test_model.py`` of the checkout it lives in.
 """
@@ -141,11 +146,12 @@ def run_cli(h: Hasher, command: str, text: str, tmp: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> None:
+def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> str:
+    """Hash one family; return its verdict: ``ok``, ``invalid`` or ``-`` (no report)."""
     h.add(identity(rule))
     spec = h.call(spec_for_rule, rule, s0=1.0, delta=STEP, beta=STEP, n1=n1, n2=n2, lam=lam)
     if spec is None:
-        return
+        return "-"
     rep = h.call(validate_model, spec, rule)
     if rep is not None:
         h.add(rep.rule_kind, sorted((c.value, n) for c, n in rep.counts.items()), rep.codes,
@@ -178,6 +184,7 @@ def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> None:
     if rule.kind in ("BJN", "MA", "MB"):
         run_cli(h, "hedge-sim", cli.config_text(rule, spec, Payoff.call(1.0))
                 + f"n_paths = {N_PATHS}\n", tmp)
+    return "-" if rep is None else "ok" if rep.ok else "invalid"
 
 
 def main() -> None:
@@ -206,9 +213,9 @@ def main() -> None:
             for n2 in N2S:
                 for n1, lam in shapes(rule.p, n2):
                     h = Hasher()
-                    family(h, rule, n1, n2, lam, Path(tmp))
+                    verdict = family(h, rule, n1, n2, lam, Path(tmp))
                     print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))} "
-                          f"{h.h.hexdigest()}")
+                          f"{h.h.hexdigest()} {verdict}")
         for command, configs in SCANS.items():
             for label, text in zip(("valid", "invalid"), configs):
                 h = Hasher()
