@@ -144,7 +144,7 @@ def build_spec(cfg: ExperimentConfig, rule: TransitionRule,
         beta = float(cfg.get("beta", delta))
     else:
         v0 = float(cfg.require("v0"))
-        _check("v0", v0, v0 > 0, "> 0")
+        _check("v0", v0, 0 < v0 < math.inf, "> 0 and finite")
         delta = beta = math.sqrt(v0 / n2)
     n1 = int(cfg.get("N1", n2))
     _check("N1", n1, n1 >= 1, ">= 1")
@@ -285,10 +285,11 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
     bounds = engine.compute_bounds(grid, rule, payoff)
     lo, hi = bounds.price_interval()
     seed = int(cfg.get("seed", 0))
-    runs = {hedge.SHORT: (hi + float(cfg.get("eps_short_hi", 0.01)),
-                          hi - float(cfg.get("eps_short_lo", 0.03))),
-            hedge.LONG: (lo - float(cfg.get("eps_long_lo", 0.01)),
-                         lo + float(cfg.get("eps_long_hi", 0.03)))}
+    def eps(key, default):
+        x = float(cfg.get(key, default))
+        return _check(key, x, math.isfinite(x), "finite")
+    runs = {hedge.SHORT: (hi + eps("eps_short_hi", 0.01), hi - eps("eps_short_lo", 0.03)),
+            hedge.LONG: (lo - eps("eps_long_lo", 0.01), lo + eps("eps_long_hi", 0.03))}
     # A trajectory depends only on (rule, grid, seed): sample once, replay per run.
     trajs = hedge.sample_trajectories(rule, grid, range(seed, seed + n_paths))
     payoffs = [payoff_eval(payoff, traj.terminal[0], spec) for traj in trajs]
@@ -305,7 +306,7 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
 
 def cmd_vol_scan(cfg: ExperimentConfig):
     v0 = float(cfg.get("v0", 0.0067))
-    _check("v0", v0, v0 > 0, "> 0")
+    _check("v0", v0, 0 < v0 < math.inf, "> 0 and finite")
     ref_steps = int(cfg.get("vol_ref_steps", 200))
     _check("vol_ref_steps", ref_steps, ref_steps >= 1, ">= 1")
     unit = int(cfg.get("vol_unit", 25))

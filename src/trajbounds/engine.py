@@ -9,7 +9,8 @@ step that checks it is in ``oracle``).  The hedge slope is the support slope
 of that value nearest zero, so it superhedges every successor.  Upper and
 lower bounds come from one batched column sweep over the stacked terminal
 rows ``[Z, -Z]``: ``compute_bounds`` keeps the full surfaces for hedging, and
-``price_all`` keeps only the roots of many ``(s0, payoff)`` points, as lanes.
+``price_all`` keeps only the roots of many ``(s0, payoff)`` points, as lanes,
+and sweeps each column only on the cone that the root can reach.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .model import (
     TransitionRule,
     _clipped_bands,
     reachable,  # noqa: F401  perfbench's tracer counts calls of engine.reachable
-    shift_row,
     validate_model,
 )
 
@@ -64,52 +64,61 @@ def _pair_combine(C: np.ndarray, ys: dict, em1: dict, on: dict) -> None:
     """Raise ``C`` in place to the best chord value over all pairs of moves.
 
     ``ys``, ``em1`` and ``on`` map each move to its successor values, its
-    relative price change and where it applies (True: everywhere).  The pair
-    order is fixed: ``np.maximum`` keeps the sign of a zero by position."""
+    relative price change and where it applies (True: everywhere).  Each up-move
+    meets all its down-moves in one broadcast and one max, in ``ys`` order:
+    ``np.maximum`` keeps the sign of a zero by position."""
+    downs = [d for d in ys if em1[d] <= 0]
+    Y = np.array([ys[d] for d in downs])
     for a in (d for d in ys if em1[d] >= 0):
         ea = em1[a]
-        for b in (d for d in ys if em1[d] <= 0 and d < a):
-            eb = em1[b]
-            den = ea - eb
-            ca = -eb / den
-            cb = ea / den
-            v = ca * ys[a] + cb * ys[b]
+        sel = [i for i, b in enumerate(downs) if b < a]
+        if not sel:
+            continue
+        # Pair weights in Python floats: one IEEE division each.
+        w = np.array([(-em1[downs[i]] / (ea - em1[downs[i]]), ea / (ea - em1[downs[i]])) for i in sel])
+        v = w[:, :1, None] * ys[a]
+        v += w[:, 1:, None] * (Y if len(sel) == len(Y) else Y[sel])
+        for row, i in enumerate(sel):
             # A flat move's pair carries a zero weight, whose product with
             # the sentinel is a signed zero: count it only where both apply.
-            both = on[a] & on[b] if 0.0 in (ea, eb) else True
-            np.maximum(C, v if both is True else np.where(both, v, -_BIG), out=C)
+            if 0.0 in (ea, em1[downs[i]]) and (both := on[a] & on[downs[i]]) is not True:
+                v[row][..., ~both] = -_BIG
+        np.maximum(C, v[0] if len(v) == 1 else np.maximum.reduce(v), out=C)
 
 
-def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray):
+def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[int]):
     """Vectorized descending-j sweep of the stacked terminal rows ``Z`` (lanes, W).
 
-    Yields ``(j, V, ys, C, stop)`` for each column j = n2-1 .. 0: its values
-    ``V`` (the sentinel off the column's cone), the window maxima ``ys`` per
-    dk, the continuation ``C`` (at most ``_INVALID`` where none exists) and,
-    on a liquidation column, the ``stop`` mask (else None).  Only the next
-    ``D = min(max_dj, n2)`` rows are kept, ordered by distance: ``buf[pos+d-1]``
-    is row j+d.  ``buf`` holds 2D rows, so each window stays one slice read
-    in ascending d, and the D-1 rows still needed move up once every D
-    columns.  A vertex is left NaN where it has no finite local optimum: it
-    is not 0-neutral, it has no move and sits off every liquidation column,
-    or one of its successors is NaN.
+    Column j is swept only on its live cone, row indices ``n1-live[j] .. n1+live[j]``;
+    ``live`` must keep each live vertex's successors live or off the grid.
+    Yields ``(j, cone, V, ys, C, stop)`` for j = n2-1 .. 0 on the ``cone``
+    slice: values ``V``, window maxima ``ys`` per dk, the continuation ``C``
+    (at most ``_INVALID`` where none exists) and, on a liquidation column,
+    the ``stop`` mask (else None).  Only the next ``D = min(max_dj, n2)`` rows
+    are kept, ordered by distance: ``buf[pos+d-1]`` is row j+d.  ``buf`` holds
+    2D rows, so each window stays one slice read in ascending d, and the D-1
+    rows still needed move up once every D columns.  A vertex is left NaN
+    where it has no finite local optimum: it is not 0-neutral, it has no move
+    and sits off every liquidation column, or one of its successors is NaN.
     """
     spec = grid.spec
     n1, n2 = spec.n1, spec.n2
     lam = set(spec.lam)
-
-    # Off-grid entries hold the sentinel so window maxima ignore them, while
-    # NaN (uncomputed, in grid) propagates through later window maxima.  The
-    # terminal column spans the full width (n1 <= p * n2).
-    D = min(rule.max_dj, n2)
-    buf = np.full((2 * D, *Z.shape), -_BIG)
-    pos = D
-    buf[pos] = Z
-
     pmax = max(spec.p, rule.p)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
 
+    # Off-cone entries hold the sentinel, so window maxima ignore them, as do
+    # the pmax padding columns that make each dk shift a slice.  NaN (unpriced,
+    # in the cone) propagates.  Buffer column c + pmax holds row index n1.
+    c = max(live)
+    D = min(rule.max_dj, n2)
+    buf = np.full((2 * D, len(Z), 2 * (c + pmax) + 1), -_BIG)
+    pos = D
+    buf[pos, :, pmax: pmax + 2 * c + 1] = Z[:, n1 - c: n1 + c + 1]
+
     for j in range(n2 - 1, -1, -1):
+        w = live[j]
+        cone = slice(n1 - w, n1 + w + 1)
         # Window maxima per dk, same-dk bands merged by max; a masked-off band
         # reads as the sentinel, like a move that leaves the grid.
         win: dict[tuple[int, int], np.ndarray] = {}
@@ -119,17 +128,19 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray):
             if (blo, bhi) not in win:
                 if blo < 1 or bhi > D:  # the buffer holds rows j+1 .. j+D only
                     raise ValueError(f"band {(dk, blo, bhi)} leaves 1 <= dj <= max_dj={rule.max_dj}")
-                win[blo, bhi] = buf[pos + blo - 1: pos + bhi].max(axis=0)
-            y = shift_row(win[blo, bhi], dk, -_BIG)
+                rows = buf[pos + blo - 1: pos + bhi, :, c - w: c + w + 2 * pmax + 1]
+                win[blo, bhi] = rows[0] if len(rows) == 1 else rows.max(axis=0)
+            y = win[blo, bhi][:, pmax + dk: pmax + dk + 2 * w + 1]
             if mask is None:
                 mask = True
             else:
-                y[..., ~mask] = -_BIG
+                mask = mask[cone]
+                y = np.where(mask, y, -_BIG)
             if dk in ys:
                 ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
             else:
                 ys[dk], on[dk] = y, mask
-        C = np.full(Z.shape, -_BIG)
+        C = np.full((len(Z), 2 * w + 1), -_BIG)
         _pair_combine(C, ys, em1, on)
         if 0 in ys:
             # Flat moves only: the degenerate hull takes the best flat value.
@@ -144,18 +155,16 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray):
             stuck = ~ok
             for y in ys.values():
                 stuck &= y <= _INVALID
-            stop = stuck | (Z > V)  # NaN-safe: comparisons with NaN are False
-            V = np.where(stop, Z, V)
-        wj = spec.column_half_width(j)
-        V[..., : n1 - wj] = -_BIG
-        V[..., n1 + wj + 1:] = -_BIG
+            stop = stuck | (Z[:, cone] > V)  # NaN-safe: comparisons with NaN are False
+            V = np.where(stop, Z[:, cone], V)
 
-        yield j, V, ys, C, stop
+        yield j, cone, V, ys, C, stop
         if pos == 0:
             buf[D + 1:] = buf[: D - 1]
             pos = D + 1
         pos -= 1
-        buf[pos] = V
+        buf[pos] = -_BIG  # no stale value outside the live slice
+        buf[pos, :, c - w + pmax: c + w + pmax + 1] = V
 
 
 def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
@@ -165,12 +174,11 @@ def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
     continuation over every dk's window maximum; a forced stop has slope 0.
     """
     spec = grid.spec
-    n1 = spec.n1
     U, S, P = _terminal_surfaces(grid, Z)
-    prices = grid.prices
-    for j, V, ys, C, stop in _sweep_banded(grid, rule, Z):
-        lo = np.full(Z.shape, -np.inf)
-        hi = np.full(Z.shape, np.inf)
+    for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, grid.half_widths.tolist()):
+        prices = grid.prices[col]
+        lo = np.full(C.shape, -np.inf)
+        hi = np.full(C.shape, np.inf)
         for a in (d for d in ys if d > 0):
             np.maximum(lo, (ys[a] - C) / (prices * math.expm1(a * spec.delta)), out=lo)
         for b in (d for d in ys if d < 0):
@@ -181,11 +189,9 @@ def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
         if stop is not None:
             Sj[stop & ~ok] = 0.0  # forced stop: no move is left
             Pj = np.where(stop, np.int8(PROV_Q_MAX), Pj)
-        wj = spec.column_half_width(j)
-        col = slice(n1 - wj, n1 + wj + 1)
-        U[:, j, col] = V[:, col]
-        S[:, j, col] = Sj[:, col]
-        P[:, j, col] = Pj[:, col]
+        U[:, j, col] = V
+        S[:, j, col] = Sj
+        P[:, j, col] = Pj
     return U, S, P
 
 
@@ -231,14 +237,19 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
     ``spec`` with each ``s0``, for each ``(s0, payoff)`` of ``points``.
 
     The sweep never reads ``s0``, so each point's terminal rows ``[Z, -Z]``
-    are two lanes of one banded pass, equal to a one-point pass bitwise.  It
-    keeps only the next ``max_dj`` rows and the roots; an unpriced root raises the audit's error.
+    are two lanes of one banded pass over the reachable cone, equal to a
+    one-point pass bitwise; an unpriced root raises the audit's error.
     """
     grids = [(build_grid(dataclasses.replace(spec, s0=s0)), payoff) for s0, payoff in points]
     Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
-    for _, V, *_ in _sweep_banded(grids[0][0], rule, Z):
+    # Every move has |dk| <= rho * dj, rho the largest |dk| / lo of any band (the
+    # sweep rejects lo < 1), so vertices reachable from the root keep |k| <= rho * j.
+    steps = {(abs(dk), max(lo, 1)) for j in range(spec.n2) for dk, lo, _, _ in rule.column_bands(spec, j)}
+    reach = np.max([np.arange(spec.n2 + 1) * a // lo for a, lo in steps], axis=0, initial=0)
+    live = np.minimum(grids[0][0].half_widths, reach).tolist()
+    for _, _, V, *_ in _sweep_banded(grids[0][0], rule, Z, live):
         pass
-    roots = _priced(spec, rule, V[:, spec.n1].tolist())
+    roots = _priced(spec, rule, V[:, 0].tolist())
     return [(-lo, hi) for hi, lo in zip(roots[::2], roots[1::2])]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -46,6 +47,12 @@ def build_grid(spec: GridSpec) -> Grid:
 # Payoffs
 # --------------------------------------------------------------------------- #
 
+def _strike(name: str, x: float) -> float:
+    if not math.isfinite(x := float(x)):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Payoff:
     """European payoff as a function of the terminal price only."""
@@ -57,17 +64,18 @@ class Payoff:
 
     @classmethod
     def call(cls, strike: float) -> "Payoff":
-        return cls("CALL", k1=float(strike))
+        return cls("CALL", k1=_strike("strike", strike))
 
     @classmethod
     def put(cls, strike: float) -> "Payoff":
-        return cls("PUT", k1=float(strike))
+        return cls("PUT", k1=_strike("strike", strike))
 
     @classmethod
     def butterfly(cls, k1: float, k2: float) -> "Payoff":
+        k1, k2 = _strike("strike k1", k1), _strike("strike k2", k2)
         if not k1 < k2:
             raise ValueError("butterfly needs k1 < k2")
-        return cls("BUTTERFLY", k1=float(k1), k2=float(k2))
+        return cls("BUTTERFLY", k1=k1, k2=k2)
 
     @classmethod
     def from_table(cls, mapping: Mapping[float, float]) -> "Payoff":

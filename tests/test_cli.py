@@ -139,6 +139,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, text, message", [
+        ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = 3\neps_short_hi = nan\n",
+         "eps_short_hi must be finite"),
+        ("hedge-sim", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nn_paths = 3\neps_long_lo = -inf\n",
+         "eps_long_lo must be finite"),
+        ("price", "model = bjn\nN2 = 10\nv0 = inf\n", "v0 must be > 0 and finite"),
+        ("vol-scan", "v0 = inf\nvol_steps = 2\n", "v0 must be > 0 and finite"),
+        ("price", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nK = inf\n", "strike must be finite"),
+    ], ids=["eps_short_hi_nan", "eps_long_lo_minus_inf", "v0_inf", "vol_scan_v0_inf", "strike_inf"])
+    def test_non_finite_input_names_its_key(self, tmp_path, capsys, command, text, message):
+        cfg = write_cfg(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
         ("vol-scan", "vol_steps = 0\n", "vol_steps must be >= 1"),
         ("vol-scan", "vol_steps = -3\n", "vol_steps must be >= 1"),
         ("merton-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\ns0_list =\n",
@@ -307,7 +323,7 @@ class TestCommands:
         sweep = engine._sweep_banded
         calls = []
         monkeypatch.setattr(engine, "_sweep_banded",
-                            lambda grid, rule, Z: calls.append(len(Z)) or sweep(grid, rule, Z))
+                            lambda grid, rule, Z, live: calls.append(len(Z)) or sweep(grid, rule, Z, live))
         assert main([command, "--config", write_cfg(tmp_path / "a.cfg", text),
                      "--out", str(tmp_path)]) == 0
         rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()[1:]

@@ -8,15 +8,17 @@ import pytest
 from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all
 from trajbounds.grid import Payoff, build_grid
 from trajbounds.oracle import brute_force_upper, convex_hull_step, generic_bounds, hull_fast
-from trajbounds import oracle
+from trajbounds import engine, oracle
 from trajbounds.model import (
     BinomialBandRule,
     MARule,
     MBRule,
     ModelValidationError,
     NotZeroNeutralError,
+    TransitionRule,
     bjn_rule,
     reachable,
+    reachable_masks,
     spec_for_rule,
     spec_from_total_variance,
     validate_model,
@@ -391,7 +393,7 @@ class TestComputeBounds:
                                         for k in range(-4, 5)}),
         lambda spec: Payoff.from_table({spec.price(k): math.inf if k == 2 else 0.0
                                         for k in range(-4, 5)}),
-        lambda spec: Payoff.call(math.nan),
+        lambda spec: Payoff("CALL", k1=math.nan),  # past Payoff.call's strike check
     ], ids=["nan_table", "inf_table", "nan_strike"])
     def test_non_finite_payoff_rejected(self, make_payoff):
         rule = bjn_rule()
@@ -568,6 +570,99 @@ class TestPriceAll:
             price_all(unit_spec(rule, 4, 4), rule, [])
 
 
+def pair_combine_by_pairs(C, ys, em1, on):
+    """Reference for ``engine._pair_combine``: one pair of moves at a time."""
+    for a in (d for d in ys if em1[d] >= 0):
+        ea = em1[a]
+        for b in (d for d in ys if em1[d] <= 0 and d < a):
+            eb = em1[b]
+            den = ea - eb
+            v = (-eb / den) * ys[a] + (ea / den) * ys[b]
+            both = on[a] & on[b] if 0.0 in (ea, eb) else True
+            np.maximum(C, v if both is True else np.where(both, v, -1e300), out=C)
+
+
+class TestPairCombine:
+    @pytest.mark.parametrize("keys", [(0, -1, 1), (-2, -1, 0, 1, 2), (2, -1, 0, -2, 1), (-3, 3, -1, 2, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_equals_pair_loop_bitwise(self, keys, seed):
+        # Zero signs, NaN and sentinels drawn often, so ties and their order count.
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, math.nan, -1e300, 0.25, -0.5, 1.0])
+        ys = {d: rng.choice(pool, size=(3, 17)) for d in keys}
+        em1 = {d: math.expm1(0.05 * d) for d in keys}
+        on = {d: True if d % 2 else rng.random(17) < 0.5 for d in keys}
+        got, want = np.full((3, 17), -1e300), np.full((3, 17), -1e300)
+        engine._pair_combine(got, ys, em1, on)
+        pair_combine_by_pairs(want, ys, em1, on)
+        assert got.tobytes() == want.tobytes()
+
+
+class ZeroLagRule(TransitionRule):
+    """Test-only rule whose down band starts at dj = 0, outside the sweep's buffer."""
+
+    kind = "ZEROLAG"
+    p = 1
+    max_dj = 1
+
+    def bands(self):
+        return ((-1, 0, 1), (1, 1, 1))
+
+
+class TestLiveCone:
+    """``price_all`` sweeps column j only where ``|k| <= live[j]``; every
+    vertex reachable from the root must lie inside that cone."""
+
+    @staticmethod
+    def swept_widths(monkeypatch, spec, rule, points):
+        """The ``live`` widths that ``price_all`` hands to the sweep."""
+        sweep, seen = engine._sweep_banded, []
+        monkeypatch.setattr(engine, "_sweep_banded",
+                            lambda grid, rule, Z, live: seen.append(live) or sweep(grid, rule, Z, live))
+        try:
+            price_all(spec, rule, points)
+        except ModelValidationError:
+            pass
+        (live,) = seen
+        return np.array(live)
+
+    def test_reachable_vertices_inside_live_widths(self, monkeypatch):
+        rules = [MARule(p, allow_flat=f) for p in (1, 2, 3, 8) for f in (False, True)]
+        rules += [MBRule(p_max=3, A=2), DoubleStepRule(), FlatTailRule(), OverlapRule()]
+        rules += [inject_arbitrage(MARule(3, allow_flat=f), fraction, seed)
+                  for f in (False, True) for fraction in (0.1, 0.3) for seed in (1, 7)]
+        cases = [(rule, n1, n2, lam) for rule in rules
+                 for n1, n2, lam in [(10, 10, None), (10, 10, (4, 7, 10)), (5, 12, None), (5, 12, (6, 12))]]
+        cases += [(bjn_rule(), 300, 300, None), (MARule(8), 200, 200, None)]
+        narrower = 0
+        for rule, n1, n2, lam in cases:
+            spec = unit_spec(rule, n1, n2, lam=lam)
+            live = self.swept_widths(monkeypatch, spec, rule, [(1.0, CALL)])
+            ks = np.arange(-n1, n1 + 1)
+            outside = reachable_masks(spec, rule) & (np.abs(ks) > live[:, None])
+            assert not outside.any(), (rule, n1, n2, lam, np.argwhere(outside)[:3])
+            assert (live <= build_grid(spec).half_widths).all()
+            narrower += bool((live < build_grid(spec).half_widths).any())
+        assert narrower > 10  # the cone is a real restriction on most of the corpus
+
+    def test_deep_ma8_lanes_equal_compute_bounds_roots(self):
+        rule = MARule(8)
+        spec = spec_from_total_variance(rule, 1.0, V0, 200)
+        points = [(s0, z) for s0 in TestPriceAll.SPOTS for z in (CALL, PUT, BFLY)]
+        want = [compute_bounds(build_grid(dataclasses.replace(spec, s0=s0)), rule, z).price_interval()
+                for s0, z in points]
+        assert repr(price_all(spec, rule, points)) == repr(want)
+
+    @pytest.mark.parametrize("fn", [price, lambda spec, rule, z: compute_bounds(build_grid(spec), rule, z)],
+                             ids=["price", "compute_bounds"])
+    def test_band_below_one_step_rejected(self, fn):
+        # The reach bound divides by each band's lo: a zero lo must still
+        # meet the sweep's own check, not a ZeroDivisionError.
+        rule = ZeroLagRule()
+        with pytest.raises(ValueError, match=r"band \(-1, 0, 1\) leaves 1 <= dj <= max_dj=1"):
+            fn(unit_spec(rule, 4, 4), rule, CALL)
+
+
 class TestInjectArbitrage:
     def test_fraction_zero_identity_prices(self):
         base = bjn_rule()
@@ -625,7 +720,7 @@ class TestBandLattice:
             band_bounds(BinomialBandRule(1.1, 0.9), 0, 1.0, CALL)
 
     @pytest.mark.parametrize("payoff", [
-        Payoff.call(math.nan), Payoff.put(math.inf), Payoff.put(6e299),
+        Payoff("CALL", k1=math.nan), Payoff("PUT", k1=math.inf), Payoff.put(6e299),
     ], ids=["nan", "inf", "sentinel_sized"])
     def test_bad_payoff_rejected(self, payoff):
         with pytest.raises(ValueError, match="price level k="):

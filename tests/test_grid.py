@@ -58,6 +58,17 @@ class TestPayoff:
         with pytest.raises(ValueError):
             Payoff.butterfly(1.1, 1.0)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: Payoff.call(math.inf), "strike"),
+        (lambda: Payoff.call(-math.inf), "strike"),
+        (lambda: Payoff.put(math.nan), "strike"),
+        (lambda: Payoff.butterfly(1.0, math.inf), "strike k2"),
+        (lambda: Payoff.butterfly(math.nan, 1.1), "strike k1"),
+    ], ids=["call_inf", "call_minus_inf", "put_nan", "butterfly_k2_inf", "butterfly_k1_nan"])
+    def test_non_finite_strike_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make()
+
     def test_table_exact_lookup(self):
         spec = unit_spec(1, 2, 2)
         table = Payoff.from_table({spec.price(k): float(k) for k in range(-2, 3)})

@@ -25,7 +25,11 @@ and, for that spec:
 More families hash ``bands()``, ``kind``, ``repr``, ``p`` and ``max_dj`` of
 MA and MB rules for p = 1..9, the ``ModifiedRule`` selections, and the exit
 code, error text, CSV and SVG of ``merton-scan``, ``arbitrage-scan`` and
-``vol-scan --svg`` on one valid and one invalid config each.  To check that
+``vol-scan --svg`` on one valid and one invalid config each.  One more
+line hashes ``engine.price_all`` of 5 spots x (call, put, butterfly) at the
+two large shapes of perfbench's ``deep`` workload (MA p = 8 at N2 = 200 and
+BJN at N2 = 1200, n1 = N2), where the sweep's live cone is narrower than the
+grid.  To check that
 a refactor leaves every result
 bitwise equal, run the script on both trees and compare::
 
@@ -59,7 +63,7 @@ import numpy as np  # noqa: E402
 from trajbounds import cli, engine, hedge, oracle  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
-    MARule, MBRule, ModifiedRule, reachable, spec_for_rule, validate_model)
+    MARule, MBRule, ModifiedRule, reachable, spec_for_rule, spec_from_total_variance, validate_model)
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
 
 STEP = 0.05
@@ -68,6 +72,8 @@ GENERIC = ("put", "fly", "nan")  # payoffs that also run the generic sweep (n2 <
 SWEEPS = {"banded": engine.compute_bounds, "generic": oracle.generic_bounds}
 SEEDS = range(20)  # sampled trajectories per family
 N_PATHS = 20  # hedge-sim paths per family
+DEEP = ((MARule(8), 200), (MARule(1), 1200))  # perfbench deep's shapes, n1 = N2, v0 = 0.0067
+SPOTS = (0.9, 0.95, 1.0, 1.05, 1.1)
 BAD_MODEL = "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n"  # not 0-neutral at k = -5
 SCANS = {  # command: (valid config, invalid config)
     "merton-scan": ("model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nsigma = 0.2\nT = 0.1667\n",
@@ -106,7 +112,7 @@ def payoffs(grid):
     return (("call", Payoff.call(1.0)), ("put", Payoff.put(1.0)),
             ("fly", Payoff.butterfly(0.95, 1.05)),
             ("zero", Payoff.from_table(dict.fromkeys(grid.prices.tolist(), 0.0))),
-            ("nan", Payoff.call(float("nan"))))
+            ("nan", Payoff("CALL", k1=float("nan"))))  # past Payoff.call's strike check
 
 
 class Hasher:
@@ -207,6 +213,14 @@ def main() -> None:
                 spec = spec_for_rule(rule, 1.0, STEP, STEP, n1, n2)
                 h.add((n1, n2), sorted(rule.selection(spec)))
         print(f"selection {name} {h.h.hexdigest()}")
+
+    h = Hasher()
+    for rule, n2 in DEEP:
+        spec = spec_from_total_variance(rule, 1.0, 0.0067, n2)
+        points = [(s0, z) for s0 in SPOTS
+                  for z in (Payoff.call(1.0), Payoff.put(1.0), Payoff.butterfly(0.95, 1.05))]
+        h.add(identity(rule), n2, np.array(h.call(engine.price_all, spec, rule, points)))
+    print(f"price_all deep {h.h.hexdigest()}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, rule in rules():
