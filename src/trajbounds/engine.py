@@ -7,10 +7,9 @@ that does not depend on the vertex, so one vectorized pair-combine takes that
 step for whole grid columns and band-lattice periods (the per-vertex hull
 step that checks it is in ``oracle``).  The hedge slope is the support slope
 of that value nearest zero, so it superhedges every successor.  Upper and
-lower bounds come from one batched column sweep over the stacked terminal
-rows ``[Z, -Z]``: ``compute_bounds`` keeps the full surfaces for hedging, and
-``price_all`` keeps only the roots of many ``(s0, payoff)`` points, as lanes,
-and sweeps each column only on the cone that the root can reach.
+lower bounds come from one batched sweep over each column's live cone of the
+stacked rows ``[Z, -Z]``: ``compute_bounds`` keeps full surfaces for hedging,
+``price_all`` only the roots of many ``(s0, payoff)`` points, as lanes.
 """
 
 from __future__ import annotations
@@ -64,42 +63,44 @@ def _pair_combine(C: np.ndarray, ys: dict, em1: dict, on: dict) -> None:
     """Raise ``C`` in place to the best chord value over all pairs of moves.
 
     ``ys``, ``em1`` and ``on`` map each move to its successor values, its
-    relative price change and where it applies (True: everywhere).  Each up-move
-    meets all its down-moves in one broadcast and one max, in ``ys`` order:
-    ``np.maximum`` keeps the sign of a zero by position."""
+    relative price change and where it applies (True: everywhere).  Each up-move a meets
+    every down-move b in one broadcast and one max, in ``ys`` order (``np.maximum`` keeps a
+    zero's sign by position); b >= a is no pair, so its row is ``C``'s floor, the sentinel."""
     downs = [d for d in ys if em1[d] <= 0]
-    Y = np.array([ys[d] for d in downs])
+    if not downs:
+        return
     for a in (d for d in ys if em1[d] >= 0):
         ea = em1[a]
-        sel = [i for i, b in enumerate(downs) if b < a]
-        if not sel:
-            continue
         # Pair weights in Python floats: one IEEE division each.
-        w = np.array([(-em1[downs[i]] / (ea - em1[downs[i]]), ea / (ea - em1[downs[i]])) for i in sel])
-        v = w[:, :1, None] * ys[a]
-        v += w[:, 1:, None] * (Y if len(sel) == len(Y) else Y[sel])
-        for row, i in enumerate(sel):
+        w = np.array([(-em1[b] / (ea - em1[b]), ea / (ea - em1[b])) if b < a else (0.0, 0.0) for b in downs])
+        v = np.array([ys[b] for b in downs])
+        v *= w[:, 1:, None]
+        v += w[:, :1, None] * ys[a]
+        for row, b in enumerate(downs):
             # A flat move's pair carries a zero weight, whose product with
             # the sentinel is a signed zero: count it only where both apply.
-            if 0.0 in (ea, em1[downs[i]]) and (both := on[a] & on[downs[i]]) is not True:
+            if b >= a:
+                v[row] = -_BIG
+            elif 0.0 in (ea, em1[b]) and (both := on[a] & on[b]) is not True:
                 v[row][..., ~both] = -_BIG
-        np.maximum(C, v[0] if len(v) == 1 else np.maximum.reduce(v), out=C)
+        np.maximum(C, np.maximum.reduce(v), out=C)
 
 
 def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[int]):
     """Vectorized descending-j sweep of the stacked terminal rows ``Z`` (lanes, W).
 
-    Column j is swept only on its live cone, row indices ``n1-live[j] .. n1+live[j]``;
-    ``live`` must keep each live vertex's successors live or off the grid.
-    Yields ``(j, cone, V, ys, C, stop)`` for j = n2-1 .. 0 on the ``cone``
-    slice: values ``V``, window maxima ``ys`` per dk, the continuation ``C``
-    (at most ``_INVALID`` where none exists) and, on a liquidation column,
-    the ``stop`` mask (else None).  Only the next ``D = min(max_dj, n2)`` rows
-    are kept, ordered by distance: ``buf[pos+d-1]`` is row j+d.  ``buf`` holds
-    2D rows, so each window stays one slice read in ascending d, and the D-1
-    rows still needed move up once every D columns.  A vertex is left NaN
-    where it has no finite local optimum: it is not 0-neutral, it has no move
-    and sits off every liquidation column, or one of its successors is NaN.
+    Column j has vertices only on its live cone, rows ``n1-live[j] .. n1+live[j]``,
+    and ``live`` must keep each live vertex's successors live or off the grid.
+    Yields ``(j, cone, V, ys, C, stop)`` for j = n2-1 .. 0 on the row slice ``cone``:
+    the live cone widened to a multiple of 16 rows, as numpy keeps freed blocks
+    under 1 KiB per size.  ``V`` are values, ``ys`` window maxima per dk, ``C`` the
+    continuation (at most ``_INVALID`` where none exists, NaN off the live cone),
+    ``stop`` a liquidation column's stop mask (else None).  Only the next
+    ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row j+d.
+    ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and
+    the D-1 rows still needed move up once every D columns.  A vertex is left NaN
+    where it has no finite local optimum: it is not 0-neutral, it has no move and
+    sits off every liquidation column, or one of its successors is NaN.
     """
     spec = grid.spec
     n1, n2 = spec.n1, spec.n2
@@ -117,8 +118,8 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     buf[pos, :, pmax: pmax + 2 * c + 1] = Z[:, n1 - c: n1 + c + 1]
 
     for j in range(n2 - 1, -1, -1):
-        w = live[j]
-        cone = slice(n1 - w, n1 + w + 1)
+        w, s = live[j], min(c, -(-live[j] // 16) * 16)  # live and swept half-widths
+        cone = slice(n1 - s, n1 + s + 1)
         # Window maxima per dk, same-dk bands merged by max; a masked-off band
         # reads as the sentinel, like a move that leaves the grid.
         win: dict[tuple[int, int], np.ndarray] = {}
@@ -128,9 +129,8 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
             if (blo, bhi) not in win:
                 if blo < 1 or bhi > D:  # the buffer holds rows j+1 .. j+D only
                     raise ValueError(f"band {(dk, blo, bhi)} leaves 1 <= dj <= max_dj={rule.max_dj}")
-                rows = buf[pos + blo - 1: pos + bhi, :, c - w: c + w + 2 * pmax + 1]
-                win[blo, bhi] = rows[0] if len(rows) == 1 else rows.max(axis=0)
-            y = win[blo, bhi][:, pmax + dk: pmax + dk + 2 * w + 1]
+                win[blo, bhi] = buf[pos + blo - 1: pos + bhi, :, c - s: c + s + 2 * pmax + 1].max(axis=0)
+            y = win[blo, bhi][:, pmax + dk: pmax + dk + 2 * s + 1]
             if mask is None:
                 mask = True
             else:
@@ -140,11 +140,12 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
                 ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
             else:
                 ys[dk], on[dk] = y, mask
-        C = np.full((len(Z), 2 * w + 1), -_BIG)
+        C = np.full((len(Z), 2 * s + 1), -_BIG)
         _pair_combine(C, ys, em1, on)
         if 0 in ys:
             # Flat moves only: the degenerate hull takes the best flat value.
             C = np.where(C <= _INVALID, ys[0], C)
+        C[:, : s - w] = C[:, s + w + 1:] = np.nan  # not vertices: never stuck, never stopped
 
         ok = C > _INVALID
         V = np.where(ok, C, np.nan)
@@ -152,7 +153,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
         if j in lam:
             # Forced liquidation where no move is left (a NaN target is a
             # move); elsewhere stop where the payoff beats continuation.
-            stuck = ~ok
+            stuck = C <= _INVALID
             for y in ys.values():
                 stuck &= y <= _INVALID
             stop = stuck | (Z[:, cone] > V)  # NaN-safe: comparisons with NaN are False
@@ -164,7 +165,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
             pos = D + 1
         pos -= 1
         buf[pos] = -_BIG  # no stale value outside the live slice
-        buf[pos, :, c - w + pmax: c + w + pmax + 1] = V
+        buf[pos, :, c - w + pmax: c + w + pmax + 1] = V[:, s - w: s + w + 1]
 
 
 def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
@@ -242,11 +243,11 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
     """
     grids = [(build_grid(dataclasses.replace(spec, s0=s0)), payoff) for s0, payoff in points]
     Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
-    # Every move has |dk| <= rho * dj, rho the largest |dk| / lo of any band (the
-    # sweep rejects lo < 1), so vertices reachable from the root keep |k| <= rho * j.
-    steps = {(abs(dk), max(lo, 1)) for j in range(spec.n2) for dk, lo, _, _ in rule.column_bands(spec, j)}
-    reach = np.max([np.arange(spec.n2 + 1) * a // lo for a, lo in steps], axis=0, initial=0)
-    live = np.minimum(grids[0][0].half_widths, reach).tolist()
+    # Each move has |dk| <= a/b * dj, a/b the largest |dk|/lo of any band (the sweep
+    # rejects lo < 1; floats order such ratios exactly), so reachable |k| <= a*j // b.
+    a, b = max({(abs(dk), max(lo, 1)) for j in range(spec.n2) for dk, lo, _, _ in rule.column_bands(spec, j)},
+               key=lambda r: r[0] / r[1], default=(0, 1))
+    live = [min(w, a * j // b) for j, w in enumerate(grids[0][0].half_widths.tolist())]
     for _, _, V, *_ in _sweep_banded(grids[0][0], rule, Z, live):
         pass
     roots = _priced(spec, rule, V[:, 0].tolist())

@@ -72,10 +72,9 @@ class Payoff:
 
     @classmethod
     def butterfly(cls, k1: float, k2: float) -> "Payoff":
-        k1, k2 = _strike("strike k1", k1), _strike("strike k2", k2)
-        if not k1 < k2:
+        if not _strike("strike k1", k1) < _strike("strike k2", k2):
             raise ValueError("butterfly needs k1 < k2")
-        return cls("BUTTERFLY", k1=k1, k2=k2)
+        return cls("BUTTERFLY", k1=float(k1), k2=float(k2))
 
     @classmethod
     def from_table(cls, mapping: Mapping[float, float]) -> "Payoff":

@@ -609,6 +609,24 @@ class ZeroLagRule(TransitionRule):
         return ((-1, 0, 1), (1, 1, 1))
 
 
+class NoMoveRule(ZeroLagRule):
+    """Test-only rule with no band at all: no vertex has a move."""
+
+    kind = "NOMOVE"
+
+    def bands(self):
+        return ()
+
+
+class UpOnlyRule(ZeroLagRule):
+    """Test-only rule whose only move is up: no vertex is 0-neutral."""
+
+    kind = "UPONLY"
+
+    def bands(self):
+        return ((1, 1, 1),)
+
+
 class TestLiveCone:
     """``price_all`` sweeps column j only where ``|k| <= live[j]``; every
     vertex reachable from the root must lie inside that cone."""
@@ -661,6 +679,20 @@ class TestLiveCone:
         rule = ZeroLagRule()
         with pytest.raises(ValueError, match=r"band \(-1, 0, 1\) leaves 1 <= dj <= max_dj=1"):
             fn(unit_spec(rule, 4, 4), rule, CALL)
+
+    @pytest.mark.parametrize("rule", [NoMoveRule(), UpOnlyRule()], ids=["no_band", "up_only"])
+    @pytest.mark.parametrize("fn", [price, lambda spec, rule, z: compute_bounds(build_grid(spec), rule, z)],
+                             ids=["price", "compute_bounds"])
+    def test_one_sided_rule_raises_audit_error(self, fn, rule):
+        # With no band the reach bound is 0 on every column, and with no
+        # down-move no pair forms: the root stays unpriced, and the audit
+        # explains it.
+        spec = unit_spec(rule, 4, 4)
+        with pytest.raises(ModelValidationError) as want:
+            validate_model(spec, rule).raise_if_failed()
+        with pytest.raises(ModelValidationError) as got:
+            fn(spec, rule, CALL)
+        assert str(got.value) == str(want.value)
 
 
 class TestInjectArbitrage:
