@@ -55,11 +55,10 @@ def _float_list(s: str) -> tuple[float, ...]:
 # Config keys use the experiment symbols directly for traceability.
 _KEY_TYPES: dict[str, Callable[[str], object]] = {
     "model": str, "payoff": str,
-    "p": int, "A": int, "N1": int, "N2": int, "q": int, "seed": int,
+    "p": int, "A": int, "N1": int, "N2": int, "seed": int,
     "n_paths": int, "vol_steps": int, "vol_unit": int, "vol_ref_steps": int,
     "delta": float, "beta": float, "v0": float, "s0": float,
     "K": float, "K1": float, "K2": float, "sigma": float, "T": float,
-    "p_eta": float,
     "eps_short_hi": float, "eps_short_lo": float,
     "eps_long_lo": float, "eps_long_hi": float,
     "allow_flat": _parse_bool,
@@ -126,10 +125,7 @@ def build_rule(cfg: ExperimentConfig, p: int | None = None) -> TransitionRule:
             raise ConfigError("model bjn means p = 1")
         return MARule(p_max=p, allow_flat=allow_flat)
     if model == "mb":
-        a = int(cfg.get("A", 1))
-        if "p_eta" in cfg.values and "p" not in cfg.values:
-            p = round(a * float(cfg.require("p_eta")))
-        return MBRule(p_max=p, A=a, allow_flat=allow_flat)
+        return MBRule(p_max=p, A=int(cfg.get("A", 1)), allow_flat=allow_flat)
     raise ConfigError(f"unknown model {cfg.get('model')!r}")
 
 
@@ -149,9 +145,6 @@ def build_spec(cfg: ExperimentConfig, rule: TransitionRule,
     n1 = int(cfg.get("N1", n2))
     _check("N1", n1, n1 >= 1, ">= 1")
     lam = cfg.get("Lambda", (n2,))
-    if "q" in cfg.values and int(cfg.values["q"]) != rule.max_dj:
-        raise ConfigError(f"q = {cfg.values['q']} contradicts the model's derived "
-                          f"variation cap {rule.max_dj}; omit it")
     return spec_for_rule(rule, s0=s0, delta=delta, beta=beta, n1=n1, n2=n2, lam=lam)
 
 

@@ -26,9 +26,6 @@ class Grid:
     def price(self, k: int) -> float:
         return float(self.prices[k + self.spec.n1])
 
-    def in_grid(self, k: int, j: int) -> bool:
-        return self.spec.in_grid(k, j)
-
     def column_ks(self, j: int) -> range:
         w = int(self.half_widths[j])
         return range(-w, w + 1)
@@ -167,7 +164,7 @@ class BoundsGrid:
         self.prov = prov
 
     def _idx(self, k: int, j: int) -> tuple[int, int]:
-        if not self.grid.in_grid(k, j):
+        if not self.grid.spec.in_grid(k, j):
             raise ValueError(f"vertex {(k, j)} is not in the grid")
         return j, k + self.grid.spec.n1
 

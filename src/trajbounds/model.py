@@ -319,6 +319,8 @@ class ModifiedRule(TransitionRule):
             raise ValueError("fraction must lie in [0, 1]")
         if self.base.kind not in ("MA", "BJN"):
             raise ValueError("arbitrage injection expects an MA-family base rule")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -414,24 +416,6 @@ def _class_from_flags(up: bool, dn: bool, flat: bool) -> NodeClass:
 # Vectorized column machinery (shared with the engine sweep)
 # --------------------------------------------------------------------------- #
 
-def shift_row(arr: np.ndarray, dk: int, fill) -> np.ndarray:
-    """out[..., i] = arr[..., i + dk] along the last axis, padded with ``fill``."""
-    out = np.full_like(arr, fill)
-    w = arr.shape[-1]
-    if dk >= 0:
-        if dk < w:
-            out[..., : w - dk] = arr[..., dk:]
-    else:
-        if -dk < w:
-            out[..., -dk:] = arr[..., : w + dk]
-    return out
-
-
-def width_mask(spec: GridSpec, j: int) -> np.ndarray:
-    ks = np.arange(-spec.n1, spec.n1 + 1)
-    return np.abs(ks) <= spec.column_half_width(j)
-
-
 def _clipped_bands(spec: GridSpec, rule: TransitionRule, j: int) -> list[MaskedBand]:
     """``rule.column_bands`` with each dj window cut at the last column; empty ones dropped."""
     top = spec.n2 - j
@@ -442,39 +426,40 @@ def _clipped_bands(spec: GridSpec, rule: TransitionRule, j: int) -> list[MaskedB
 def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     """Boolean (n2+1, width) array: vertices reachable from (0, 0).
 
-    Each band of a source column adds its shifted row to a difference array
-    over j at the first column of its dj window and subtracts it one past the
-    last, so a running sum counts the moves landing on each later vertex.
+    Each band of a source column adds its row, shifted by dk, to a difference
+    array over j at the first column of its dj window and subtracts it one past
+    the last, so a running sum counts the moves landing on each later vertex.
+    Its rows carry ``pad`` zero columns on each side, where moves off the grid land.
     """
-    n2, w = spec.n2, spec.width
+    n1, n2, w = spec.n1, spec.n2, spec.width
+    pad = max(spec.p, rule.p)
+    ks = np.arange(-n1, n1 + 1)
     reach = np.zeros((n2 + 1, w), dtype=bool)
-    reach[0, spec.n1] = True
-    diff = np.zeros((n2 + 2, w), dtype=np.int32)
+    reach[0, n1] = True
+    diff = np.zeros((n2 + 2, w + 2 * pad), dtype=np.int32)
     hits = np.zeros(w, dtype=np.int32)
     for j in range(n2):
         if reach[j].any():
             for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
                 src = reach[j] if mask is None else (reach[j] & mask)
-                moved = shift_row(src, -dk, False)
-                diff[j + lo] += moved
-                diff[j + hi + 1] -= moved
-        hits += diff[j + 1]
-        reach[j + 1] = (hits > 0) & width_mask(spec, j + 1)
+                diff[j + lo, pad + dk: pad + dk + w] += src
+                diff[j + hi + 1, pad + dk: pad + dk + w] -= src
+        hits += diff[j + 1, pad: pad + w]
+        reach[j + 1] = (hits > 0) & (np.abs(ks) <= spec.column_half_width(j + 1))
     return reach
 
 
 def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(has_up, has_dn, has_flat) boolean rows for column j < n2.
 
-    A move along band (dk, lo, hi) exists at k iff the window still contains a
-    dj with the target inside the cone: dj >= ceil(|k+dk| / p) - j.
+    A move along band (dk, lo, hi) exists at k iff k + dk lies in the cone of
+    column j + hi: the cone widens with j, so the window's last column decides.
     """
     ks = np.arange(-spec.n1, spec.n1 + 1)
     # One flag row per sign of dk: index 1 up, -1 down, 0 flat.
     flags = np.zeros((3, spec.width), dtype=bool)
     for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
-        kk = np.abs(ks + dk)
-        ok = (np.maximum(lo, -(-kk // spec.p) - j) <= hi) & (kk <= spec.n1)
+        ok = np.abs(ks + dk) <= spec.column_half_width(j + hi)
         flags[(dk > 0) - (dk < 0)] |= ok if mask is None else (ok & mask)
     return flags[1], flags[-1], flags[0]
 

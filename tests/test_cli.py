@@ -35,9 +35,12 @@ class TestConfig:
         assert cfg.get("N2") == 30
         assert cfg.get("v0") == 0.0067
 
-    def test_unknown_key(self, tmp_path):
+    # q and p_eta are not keys: the rule alone fixes the caps p and q = max_dj.
+    @pytest.mark.parametrize("text", ["frobnicate = 3\n", "q = 4\n", "p_eta = 1.5\n"],
+                             ids=["frobnicate", "q", "p_eta"])
+    def test_unknown_key(self, tmp_path, text):
         with pytest.raises(ConfigError, match="unknown key"):
-            ExperimentConfig.from_file(write_cfg(tmp_path / "a.cfg", "frobnicate = 3\n"))
+            ExperimentConfig.from_file(write_cfg(tmp_path / "a.cfg", text))
 
     def test_bad_value(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value"):
@@ -127,10 +130,11 @@ class TestExitCodes:
         ("converge", "model = ma\nv0 = 0.0067\nN2_list = 0,10\n", "N2_list"),
         ("converge", "model = ma\nv0 = 0.0067\np_list = 0,2\n", "p_list"),
         ("converge", "model = ma\nv0 = 0.0067\nN1 = 0\n", "N1"),
+        ("arbitrage-scan", "model = bjn\nN2 = 10\nv0 = 0.0067\nseed = -1\n", "seed"),
     ], ids=["n2_zero", "v0_negative", "v0_zero", "vol_scan_v0_negative",
             "vol_ref_steps_zero", "vol_unit_zero", "n_paths_zero", "fraction_nan",
             "fraction_negative", "converge_n2_list_zero", "converge_p_list_zero",
-            "converge_n1_zero"])
+            "converge_n1_zero", "arbitrage_seed_negative"])
     def test_config_error_names_key(self, tmp_path, capsys, command, text, key):
         cfg = write_cfg(tmp_path / "a.cfg", text)
         out = tmp_path / "out"

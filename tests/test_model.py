@@ -155,6 +155,8 @@ class TestRules:
             ModifiedRule(base=MBRule(2, 2), fraction=0.1, seed=1)
         with pytest.raises(ValueError):
             ModifiedRule(base=bjn_rule(), fraction=1.5, seed=1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ModifiedRule(base=MARule(3), fraction=0.1, seed=-1)
 
 
 class TestClassify:
@@ -387,6 +389,8 @@ VECTOR_CASES = {
                            (3, 7, 10), True),
     "double_step": (DoubleStepRule(), 9, 9, None, False),
     "double_step_inner_lam": (DoubleStepRule(), 9, 9, (4, 9), False),
+    "jump_wider_than_grid": (MARule(8), 3, 6, None, False),
+    "jump_wider_than_grid_flat": (MARule(8, allow_flat=True), 3, 6, (2, 6), True),
 }
 
 

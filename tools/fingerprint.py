@@ -6,7 +6,9 @@ the test-only rules, whose ``repr`` holds an address), ``p`` and ``max_dj``,
 and, for that spec:
 
 * the ``validate_model`` report (counts, class codes, arbitrage and
-  not-0-neutral vertices, ``ok``, summary text), and the ``reachable`` list
+  not-0-neutral vertices, ``ok``, summary text), the ``reachable_masks``
+  array (which, unlike the class codes, tells unreachable vertices from
+  terminal ones and forced stops), and the ``reachable`` list
   and ``bands_at`` tuple of every in-grid vertex (every fourth column when
   ``n2 > 9``);
 * for each payoff, the five ``BoundsGrid`` arrays by ``tobytes``, of
@@ -63,7 +65,8 @@ import numpy as np  # noqa: E402
 from trajbounds import cli, engine, hedge, oracle  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
-    MARule, MBRule, ModifiedRule, reachable, spec_for_rule, spec_from_total_variance, validate_model)
+    MARule, MBRule, ModifiedRule, reachable, reachable_masks, spec_for_rule, spec_from_total_variance,
+    validate_model)
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
 
 STEP = 0.05
@@ -162,6 +165,7 @@ def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> str:
     if rep is not None:
         h.add(rep.rule_kind, sorted((c.value, n) for c, n in rep.counts.items()), rep.codes,
               rep.arbitrage_vertices, rep.not_zero_neutral, rep.ok, rep.summary())
+    h.add("reach", h.call(reachable_masks, spec, rule))
     for j in range(0, n2 + 1, 1 if n2 <= 9 else 4):
         w = spec.column_half_width(j)
         for k in range(-w, w + 1):
