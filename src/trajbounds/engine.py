@@ -8,8 +8,10 @@ step for whole grid columns and band-lattice periods (the per-vertex hull
 step that checks it is in ``oracle``).  The hedge slope is the support slope
 of that value nearest zero, so it superhedges every successor.  Upper and
 lower bounds come from one batched sweep over each column's live cone of the
-stacked rows ``[Z, -Z]``: ``compute_bounds`` keeps full surfaces for hedging,
-``price_all`` only the roots of many ``(s0, payoff)`` points, as lanes.
+stacked rows ``[Z, -Z]``, which builds what a band list reads (windows, nested
+where they share their last row, and pair weights) once per sweep as a plan:
+``compute_bounds`` keeps full surfaces for hedging, ``price_all`` only the
+roots of many ``(s0, payoff)`` points, as lanes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .model import (
     ModifiedRule,
     NotZeroNeutralError,
     TransitionRule,
-    _clipped_bands,
     reachable,  # noqa: F401  perfbench's tracer counts calls of engine.reachable
     validate_model,
 )
@@ -59,31 +60,73 @@ def _terminal_rows(payoff, prices: list, k0: int) -> np.ndarray:
     return np.stack([row, -row])
 
 
-def _pair_combine(C: np.ndarray, ys: dict, em1: dict, on: dict) -> None:
-    """Raise ``C`` in place to the best chord value over all pairs of moves.
-
-    ``ys``, ``em1`` and ``on`` map each move to its successor values, its
-    relative price change and where it applies (True: everywhere).  Each up-move a meets
-    every down-move b in one broadcast and one max, in ``ys`` order (``np.maximum`` keeps a
-    zero's sign by position); b >= a is no pair, so its row is ``C``'s floor, the sentinel."""
-    downs = [d for d in ys if em1[d] <= 0]
-    if not downs:
-        return
-    for a in (d for d in ys if em1[d] >= 0):
+def _pair_weights(dks, em1: dict) -> tuple[list, list]:
+    """Down-moves b of ``dks``; per up-move a, its weights on a and each b, and rows to mask."""
+    downs, ups = [d for d in dks if em1[d] <= 0], []
+    for a in (d for d in dks if em1[d] >= 0 and downs):
         ea = em1[a]
         # Pair weights in Python floats: one IEEE division each.
         w = np.array([(-em1[b] / (ea - em1[b]), ea / (ea - em1[b])) if b < a else (0.0, 0.0) for b in downs])
-        v = np.array([ys[b] for b in downs])
-        v *= w[:, 1:, None]
-        v += w[:, :1, None] * ys[a]
-        for row, b in enumerate(downs):
-            # A flat move's pair carries a zero weight, whose product with
-            # the sentinel is a signed zero: count it only where both apply.
+        ups.append((a, w[:, :1, None], w[:, 1:, None],
+                    [(r, b) for r, b in enumerate(downs) if b >= a or 0.0 in (ea, em1[b])]))
+    return downs, ups
+
+
+def _pair_combine(C: np.ndarray, ys: dict, em1: dict, on: dict, pairs: tuple | None = None) -> None:
+    """Raise ``C`` in place to the best chord value over all pairs of moves.
+
+    ``ys``, ``em1`` and ``on`` map each move to its successor values, its relative price
+    change and where it applies (True: everywhere); ``pairs`` is their :func:`_pair_weights`.
+    The down-moves are stacked once; each up-move a meets all of them in preallocated
+    ``(downs, lanes, width)`` buffers and one max, in ``ys`` order (``np.maximum`` keeps a
+    zero's sign by position); b >= a is no pair, so its row is ``C``'s floor, the sentinel."""
+    downs, ups = pairs or _pair_weights(ys, em1)
+    if not ups:
+        return
+    Y = np.array([ys[b] for b in downs])
+    v, t, m = np.empty_like(Y), np.empty_like(Y), np.empty_like(C)
+    for a, wa, wb, masked in ups:
+        np.multiply(Y, wb, out=v)
+        v += np.multiply(wa, ys[a], out=t)
+        for row, b in masked:
             if b >= a:
                 v[row] = -_BIG
-            elif 0.0 in (ea, em1[b]) and (both := on[a] & on[b]) is not True:
+            # A flat move's pair carries a zero weight, whose product with
+            # the sentinel is a signed zero: count it only where both apply.
+            elif (both := on[a] & on[b]) is not True:
                 v[row][..., ~both] = -_BIG
-        np.maximum(C, np.maximum.reduce(v), out=C)
+        np.maximum(C, np.maximum.reduce(v, out=m), out=C)
+
+
+def _column_lists(spec: GridSpec, rule: TransitionRule) -> list:
+    """``rule.column_bands`` of each column j < n2, one list if the rule does not override it."""
+    if type(rule).column_bands is TransitionRule.column_bands:  # bands() serve every column
+        return [rule.column_bands(spec, 0)] * spec.n2
+    return [rule.column_bands(spec, j) for j in range(spec.n2)]
+
+
+def _sweep_plan(bands: list, top: int, D: int, max_dj: int, em1: dict, weights: dict) -> tuple:
+    """``(dk, window, mask or True)`` per band of ``bands`` kept with dj cut at ``top``, the distinct
+    windows by ``hi``, shortest first, and the moves' :func:`_pair_weights`, shared via ``weights``."""
+    kept = [(dk, (lo, min(hi, top)), True if m is None else m) for dk, lo, hi, m in bands if lo <= min(hi, top)]
+    for dk, (lo, hi), _ in kept:
+        if lo < 1 or hi > D:  # the buffer holds rows j+1 .. j+D only
+            raise ValueError(f"band {(dk, lo, hi)} leaves 1 <= dj <= max_dj={max_dj}")
+    dks = tuple(dict.fromkeys(dk for dk, _, _ in kept))
+    return (kept, sorted({w for _, w, _ in kept}, key=lambda w: (w[1], -w[0])),
+            weights.get(dks) or weights.setdefault(dks, _pair_weights(dks, em1)))
+
+
+def _window_maxima(rows: np.ndarray, wins: list) -> dict:
+    """``rows[lo-1:hi].max(axis=0)`` per window ``(lo, hi)``, nested: the max of its new rows
+    (one row: a view) and the next shorter window with the same ``hi``, rows still in order."""
+    win, inner = {}, None
+    for lo, hi in wins:
+        stop = inner[0] - 1 if inner and inner[1] == hi else hi
+        new = rows[lo - 1] if stop == lo else rows[lo - 1: stop].max(axis=0)
+        win[lo, hi] = new if stop == hi else np.maximum(new, win[inner])
+        inner = lo, hi
+    return win
 
 
 def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[int]):
@@ -98,7 +141,11 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     ``stop`` a liquidation column's stop mask (else None).  Only the next
     ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row j+d.
     ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and
-    the D-1 rows still needed move up once every D columns.  A vertex is left NaN
+    the D-1 rows still needed move up once every D columns.  Columns with the same
+    band list, cut at ``min(n2 - j, H)`` (H the largest ``hi``, past which a cut
+    changes nothing), share one :func:`_sweep_plan`: its bands, checked in band
+    order, its windows, read nested by :func:`_window_maxima`, and its pair
+    weights for :func:`_pair_combine`.  A vertex is left NaN
     where it has no finite local optimum: it is not 0-neutral, it has no move and
     sits off every liquidation column, or one of its successors is NaN.
     """
@@ -107,6 +154,9 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     lam = set(spec.lam)
     pmax = max(spec.p, rule.p)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
+    lists = _column_lists(spec, rule)
+    H = max((hi for bands in {id(b): b for b in lists}.values() for _, _, hi, _ in bands), default=0)
+    plans, weights = {}, {}
 
     # Off-cone entries hold the sentinel, so window maxima ignore them, as do
     # the pmax padding columns that make each dk shift a slice.  NaN (unpriced,
@@ -120,28 +170,25 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     for j in range(n2 - 1, -1, -1):
         w, s = live[j], min(c, -(-live[j] // 16) * 16)  # live and swept half-widths
         cone = slice(n1 - s, n1 + s + 1)
+        key = id(lists[j]), min(n2 - j, H)
+        if key not in plans:
+            plans[key] = _sweep_plan(lists[j], key[1], D, rule.max_dj, em1, weights)
+        kept, wins, pairs = plans[key]
+        win = _window_maxima(buf[pos:, :, c - s: c + s + 2 * pmax + 1], wins)
         # Window maxima per dk, same-dk bands merged by max; a masked-off band
         # reads as the sentinel, like a move that leaves the grid.
-        win: dict[tuple[int, int], np.ndarray] = {}
         ys: dict[int, np.ndarray] = {}
         on: dict[int, bool | np.ndarray] = {}  # where some band of dk applies; True: everywhere
-        for dk, blo, bhi, mask in _clipped_bands(spec, rule, j):
-            if (blo, bhi) not in win:
-                if blo < 1 or bhi > D:  # the buffer holds rows j+1 .. j+D only
-                    raise ValueError(f"band {(dk, blo, bhi)} leaves 1 <= dj <= max_dj={rule.max_dj}")
-                win[blo, bhi] = buf[pos + blo - 1: pos + bhi, :, c - s: c + s + 2 * pmax + 1].max(axis=0)
-            y = win[blo, bhi][:, pmax + dk: pmax + dk + 2 * s + 1]
-            if mask is None:
-                mask = True
-            else:
-                mask = mask[cone]
-                y = np.where(mask, y, -_BIG)
+        for dk, wk, mask in kept:
+            y = win[wk][:, pmax + dk: pmax + dk + 2 * s + 1]
+            if mask is not True:
+                y = np.where(mask := mask[cone], y, -_BIG)
             if dk in ys:
                 ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
             else:
                 ys[dk], on[dk] = y, mask
         C = np.full((len(Z), 2 * s + 1), -_BIG)
-        _pair_combine(C, ys, em1, on)
+        _pair_combine(C, ys, em1, on, pairs)
         if 0 in ys:
             # Flat moves only: the degenerate hull takes the best flat value.
             C = np.where(C <= _INVALID, ys[0], C)
@@ -245,7 +292,8 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
     Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
     # Each move has |dk| <= a/b * dj, a/b the largest |dk|/lo of any band (the sweep
     # rejects lo < 1; floats order such ratios exactly), so reachable |k| <= a*j // b.
-    a, b = max({(abs(dk), max(lo, 1)) for j in range(spec.n2) for dk, lo, _, _ in rule.column_bands(spec, j)},
+    lists = {id(bands): bands for bands in _column_lists(spec, rule)}.values()
+    a, b = max({(abs(dk), max(lo, 1)) for bands in lists for dk, lo, _, _ in bands},
                key=lambda r: r[0] / r[1], default=(0, 1))
     live = [min(w, a * j // b) for j, w in enumerate(grids[0][0].half_widths.tolist())]
     for _, _, V, *_ in _sweep_banded(grids[0][0], rule, Z, live):
@@ -284,11 +332,11 @@ def band_bounds(rule: BinomialBandRule, steps: int, s0: float, payoff) -> tuple[
     rho = (rule.u / rule.d) ** (1.0 / (L - 1))
     V = _terminal_rows(payoff, (s0 * rule.d ** steps * rho ** np.arange(steps * (L - 1) + 1)).tolist(), 0)
     em1 = {t: rule.d * rho ** t - 1.0 for t in range(L)}
-    on = dict.fromkeys(em1, True)
+    on, pairs = dict.fromkeys(em1, True), _pair_weights(list(em1), em1)
     for i in range(steps - 1, -1, -1):
         n = i * (L - 1) + 1
         C = np.full((2, n), -_BIG)
-        _pair_combine(C, {t: V[:, t: t + n] for t in em1}, em1, on)
+        _pair_combine(C, {t: V[:, t: t + n] for t in em1}, em1, on, pairs)
         if not (C > _INVALID).all():
             raise NotZeroNeutralError()
         V = C

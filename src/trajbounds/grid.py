@@ -188,7 +188,7 @@ class BoundsGrid:
 
     def to_csv(self, path) -> None:
         spec = self.grid.spec
-        prices = self.grid.prices.tolist()
+        levels = [repr(s) for s in self.grid.prices.tolist()]  # one repr per price level
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("k,j,s_k,upper,lower,slope_up,slope_dn,provenance\n")
             # One column at a time, as Python floats: per-vertex repr(float(v)),
@@ -199,6 +199,6 @@ class BoundsGrid:
                 cells = [["" if v != v else repr(v) for v in a[j, col].tolist()]
                          for a in (self.upper, self.lower, self.slope_up, self.slope_dn)]
                 names = [_PROV_NAMES[c] for c in self.prov[j, col].tolist()]
-                f.write("".join(f"{k},{j},{s!r},{u},{lo},{su},{sd},{name}\n"
+                f.write("".join(f"{k},{j},{s},{u},{lo},{su},{sd},{name}\n"
                                 for k, s, u, lo, su, sd, name
-                                in zip(range(-hw, hw + 1), prices[col], *cells, names)))
+                                in zip(range(-hw, hw + 1), levels[col], *cells, names)))

@@ -339,7 +339,8 @@ class ModifiedRule(TransitionRule):
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
         # Base reachability reads only the grid shape, so specs that differ in
         # s0, delta, beta or lam share one selection: the bands of every column
-        # are built once per shape, and callers must not mutate them.
+        # are built once per shape (one list for all columns with no selected
+        # vertex), and callers must not mutate them.
         cache = self._cache  # type: ignore[attr-defined]
         key = (spec.n1, spec.n2, spec.p)
         got = cache.get(key)
@@ -350,11 +351,11 @@ class ModifiedRule(TransitionRule):
             ks = np.arange(-spec.n1, spec.n1 + 1)
             rest, pos, neg = ~sel, sel & (ks >= 0), sel & (ks < 0)
             # Arbitrage moves: down or flat where k >= 0, up or flat where k < 0.
-            p, top = self.p, self.max_dj
+            p, top, base = self.p, self.max_dj, self.base.column_bands(spec, 0)
             got = [[(dk, lo, hi, rest[jj]) for dk, lo, hi in self.base.bands()]
                    + [(dk, 1, top, pos[jj]) for dk in range(-p, 1)]
                    + [(dk, 1, top, neg[jj]) for dk in range(0, p + 1)]
-                   if any_sel else self.base.column_bands(spec, jj)
+                   if any_sel else base
                    for jj, any_sel in enumerate(sel.any(axis=1).tolist())]
             cache[key] = got
         return got[j]

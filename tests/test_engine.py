@@ -598,6 +598,30 @@ class TestPairCombine:
         assert got.tobytes() == want.tobytes()
 
 
+class TestWindowMaxima:
+    """The sweep nests windows that share their last row; each must still equal
+    one flat read of its buffer rows, zero signs and NaN bits included."""
+
+    RULES = {"ma8": MARule(8), "mb3a2": MBRule(3, 2), "mb5a3_flat": MBRule(5, 3, allow_flat=True)}
+
+    @pytest.mark.parametrize("name", list(RULES))
+    @pytest.mark.parametrize("top", [1, 2, 5, 9, 30, 63, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nested_equals_flat_bitwise(self, name, top, seed):
+        rule = self.RULES[name]
+        top = min(top, rule.max_dj)  # a cut at the last column: n2 - j < max_dj
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, math.nan, -math.nan, 1e300, -1e300, 0.25, -0.5, 1.0])
+        buf = rng.choice(pool, size=(rule.max_dj, 3, 17))
+        bands = [(dk, lo, hi, None) for dk, lo, hi in rule.bands()]
+        em1 = {d: math.expm1(0.05 * d) for d in range(-rule.p, rule.p + 1)}
+        _, wins, _ = engine._sweep_plan(bands, top, rule.max_dj, rule.max_dj, em1, {})
+        got = engine._window_maxima(buf, wins)
+        assert set(got) == {(lo, min(hi, top)) for _, lo, hi in rule.bands() if lo <= min(hi, top)}
+        for (lo, hi), y in got.items():
+            assert y.tobytes() == buf[lo - 1: hi].max(axis=0).tobytes(), (lo, hi)
+
+
 class ZeroLagRule(TransitionRule):
     """Test-only rule whose down band starts at dj = 0, outside the sweep's buffer."""
 
@@ -625,6 +649,45 @@ class UpOnlyRule(ZeroLagRule):
 
     def bands(self):
         return ((1, 1, 1),)
+
+
+class LateBandRule(ZeroLagRule):
+    """Test-only rule whose second and third bands reach past ``max_dj``."""
+
+    kind = "LATEBAND"
+    max_dj = 2
+
+    def bands(self):
+        return ((-1, 1, 2), (1, 1, 4), (1, 2, 5))
+
+
+class FarBandRule(ZeroLagRule):
+    """Test-only rule whose last band starts two columns past ``max_dj``."""
+
+    kind = "FARBAND"
+    max_dj = 2
+
+    def bands(self):
+        return ((-1, 1, 2), (1, 1, 2), (1, 4, 4))
+
+
+class TestBandErrors:
+    """A band outside ``1 <= dj <= max_dj`` fails in the first column that
+    reads it, naming the first such band in band order, cut at that column."""
+
+    FNS = {"price": price, "compute_bounds": lambda spec, rule, z: compute_bounds(build_grid(spec), rule, z),
+           "price_all": lambda spec, rule, z: price_all(spec, rule, [(1.0, z), (1.1, PUT)])}
+
+    @pytest.mark.parametrize("rule, text", [(LateBandRule(), "band (1, 1, 3) leaves 1 <= dj <= max_dj=2"),
+                                            (FarBandRule(), "band (1, 4, 4) leaves 1 <= dj <= max_dj=2")],
+                             ids=["late", "far"])
+    @pytest.mark.parametrize("fn", list(FNS))
+    def test_first_bad_band_in_order(self, fn, rule, text):
+        spec = unit_spec(rule, 12, 12)  # columns past the bands' reach share one plan
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                self.FNS[fn](spec, rule, CALL)
+            assert type(got.value) is ValueError and str(got.value) == text
 
 
 class TestLiveCone:

@@ -31,7 +31,12 @@ code, error text, CSV and SVG of ``merton-scan``, ``arbitrage-scan`` and
 line hashes ``engine.price_all`` of 5 spots x (call, put, butterfly) at the
 two large shapes of perfbench's ``deep`` workload (MA p = 8 at N2 = 200 and
 BJN at N2 = 1200, n1 = N2), where the sweep's live cone is narrower than the
-grid.  To check that
+grid.  Three ``plans`` lines hash ``engine.price_all`` of the same 15 points
+and the five ``engine.compute_bounds`` arrays of the call and the butterfly
+on rules whose band lists vary by column: MA p = 8 at N2 = 40, where every
+column's dj windows are cut at the last column; MB p = 5, A = 3 with flat
+moves; and MA p = 3 with injected arbitrage (fraction 0.1, seed 1) and
+liquidation columns (20, 40).  To check that
 a refactor leaves every result
 bitwise equal, run the script on both trees and compare::
 
@@ -77,6 +82,11 @@ SEEDS = range(20)  # sampled trajectories per family
 N_PATHS = 20  # hedge-sim paths per family
 DEEP = ((MARule(8), 200), (MARule(1), 1200))  # perfbench deep's shapes, n1 = N2, v0 = 0.0067
 SPOTS = (0.9, 0.95, 1.0, 1.05, 1.1)
+PLANS = {  # name: (rule, N2, liquidation columns), n1 = N2, v0 = 0.0067
+    "MA8-n2=40": (MARule(8), 40, None),
+    "MB5A3-flat-n2=40": (MBRule(5, 3, allow_flat=True), 40, None),
+    "inject(MA3,0.1,1)-n2=40-lam=20,40": (engine.inject_arbitrage(MARule(3), 0.1, 1), 40, (20, 40)),
+}
 BAD_MODEL = "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n"  # not 0-neutral at k = -5
 SCANS = {  # command: (valid config, invalid config)
     "merton-scan": ("model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nsigma = 0.2\nT = 0.1667\n",
@@ -225,6 +235,18 @@ def main() -> None:
                   for z in (Payoff.call(1.0), Payoff.put(1.0), Payoff.butterfly(0.95, 1.05))]
         h.add(identity(rule), n2, np.array(h.call(engine.price_all, spec, rule, points)))
     print(f"price_all deep {h.h.hexdigest()}")
+
+    for name, (rule, n2, lam) in PLANS.items():
+        h = Hasher()
+        spec = spec_from_total_variance(rule, 1.0, 0.0067, n2, lam)
+        points = [(s0, z) for s0 in SPOTS
+                  for z in (Payoff.call(1.0), Payoff.put(1.0), Payoff.butterfly(0.95, 1.05))]
+        h.add(identity(rule), np.array(h.call(engine.price_all, spec, rule, points)))
+        for z in (Payoff.call(1.0), Payoff.butterfly(0.95, 1.05)):
+            b = h.call(engine.compute_bounds, build_grid(spec), rule, z)
+            if b is not None:
+                h.add(b.upper, b.lower, b.slope_up, b.slope_dn, b.prov)
+        print(f"plans {name} {h.h.hexdigest()}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, rule in rules():
