@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import charts, engine, hedge, oracle
-from .grid import Payoff, build_grid, payoff_eval
+from .grid import Payoff, build_grid
 from .model import (
     GridSpec,
     MARule,
@@ -275,20 +275,20 @@ def cmd_hedge_sim(cfg: ExperimentConfig):
     n_paths = int(cfg.get("n_paths", 200))
     _check("n_paths", n_paths, n_paths >= 1, ">= 1")
     grid = build_grid(spec)
-    bounds = engine.compute_bounds(grid, rule, payoff)
-    lo, hi = bounds.price_interval()
+    Z = engine._terminal_rows(payoff, grid.prices.tolist(), -spec.n1)
     seed = int(cfg.get("seed", 0))
+    # A trajectory depends only on (rule, grid, seed): sample once, replay per run.
+    trajs = hedge.sample_trajectories(rule, grid, range(seed, seed + n_paths))
+    (lo, hi), slopes = hedge.path_hedges(rule, grid, Z, trajs)
     def eps(key, default):
         x = float(cfg.get(key, default))
         return _check(key, x, math.isfinite(x), "finite")
     runs = {hedge.SHORT: (hi + eps("eps_short_hi", 0.01), hi - eps("eps_short_lo", 0.03)),
             hedge.LONG: (lo - eps("eps_long_lo", 0.01), lo + eps("eps_long_hi", 0.03))}
-    # A trajectory depends only on (rule, grid, seed): sample once, replay per run.
-    trajs = hedge.sample_trajectories(rule, grid, range(seed, seed + n_paths))
-    payoffs = [payoff_eval(payoff, traj.terminal[0], spec) for traj in trajs]
+    payoffs = Z[0, [traj.terminal[0] + spec.n1 for traj in trajs]].tolist()
     rows = []
     for side, x0s in runs.items():
-        for x0, finals in zip(x0s, hedge.ledger_finals(bounds, trajs, side, x0s).tolist()):
+        for x0, finals in zip(x0s, hedge.hedged_finals(trajs, slopes[side], side, x0s).tolist()):
             rows += ([t, x0, side, f, z, f - z] for t, (f, z) in enumerate(zip(finals, payoffs)))
     header = ["trajectory_id", "X", "side", "final", "payoff", "excess"]
     chart = charts.ChartSpec(x="payoff", ys=("final",), series=("side", "X"),

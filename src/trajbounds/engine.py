@@ -10,8 +10,8 @@ of that value nearest zero, so it superhedges every successor.  Upper and
 lower bounds come from one batched sweep over each column's live cone of the
 stacked rows ``[Z, -Z]``, which builds what a band list reads (windows, nested
 where they share their last row, and pair weights) once per sweep as a plan:
-``compute_bounds`` keeps full surfaces for hedging, ``price_all`` only the
-roots of many ``(s0, payoff)`` points, as lanes.
+``compute_bounds`` keeps full surfaces, ``price_all`` only the roots of many
+``(s0, payoff)`` points, as lanes, and ``hedge.path_hedges`` path slopes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .grid import (
     BoundsGrid,
     PROV_CONTINUATION,
     PROV_Q_MAX,
+    Payoff,
     _terminal_surfaces,
     build_grid,
 )
@@ -48,14 +49,16 @@ _INVALID = -1e250  # anything below this is a leaked sentinel, not a value
 # --------------------------------------------------------------------------- #
 
 def _terminal_rows(payoff, prices: list, k0: int) -> np.ndarray:
-    """Stacked ``[Z, -Z]`` of the payoff at the terminal ``prices`` (levels k0, k0 + 1, ...).
+    """Stacked ``[Z, -Z]`` of the payoff at the terminal ``prices`` (levels k0, k0 + 1, ...),
+    by :meth:`Payoff.values_at` where it applies, else one ``value_at`` per level.
     Sweep values are convex combinations of these, so rejecting non-finite and
-    sentinel-sized ones keeps every value off the sentinels."""
-    row = np.empty(len(prices))
-    for i, s in enumerate(prices):
-        z = payoff.value_at(s)
+    sentinel-sized ones (the first, by level) keeps every value off the sentinels."""
+    array = isinstance(payoff, Payoff) and payoff.kind != "CUSTOM_TABLE"
+    row = payoff.values_at(np.array(prices)) if array else np.empty(len(prices))
+    for i in np.flatnonzero(~(np.abs(row) < -_INVALID))[:1].tolist() if array else range(len(prices)):
+        z = row[i].item() if array else payoff.value_at(prices[i])
         if not math.isfinite(z) or abs(z) >= -_INVALID:
-            raise ValueError(f"payoff is {z!r} at price level k={k0 + i} (s_k={s!r})")
+            raise ValueError(f"payoff is {z!r} at price level k={k0 + i} (s_k={prices[i]!r})")
         row[i] = z
     return np.stack([row, -row])
 
@@ -216,31 +219,30 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
 
 
 def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
-    """Full (lanes, n2+1, W) value, slope and provenance surfaces of :func:`_sweep_banded`.
-
-    The slope at a priced vertex is the support slope nearest zero of its
-    continuation over every dk's window maximum; a forced stop has slope 0.
-    """
-    spec = grid.spec
+    """Full (lanes, n2+1, W) value, slope and provenance surfaces of :func:`_sweep_banded`."""
     U, S, P = _terminal_surfaces(grid, Z)
     for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, grid.half_widths.tolist()):
-        prices = grid.prices[col]
-        lo = np.full(C.shape, -np.inf)
-        hi = np.full(C.shape, np.inf)
-        for a in (d for d in ys if d > 0):
-            np.maximum(lo, (ys[a] - C) / (prices * math.expm1(a * spec.delta)), out=lo)
-        for b in (d for d in ys if d < 0):
-            np.minimum(hi, (ys[b] - C) / (prices * math.expm1(b * spec.delta)), out=hi)
-        ok = C > _INVALID
-        Sj = np.where(ok, np.minimum(np.maximum(0.0, lo), hi), np.nan)
-        Pj = np.where(ok, np.int8(PROV_CONTINUATION), np.int8(0))
-        if stop is not None:
-            Sj[stop & ~ok] = 0.0  # forced stop: no move is left
-            Pj = np.where(stop, np.int8(PROV_Q_MAX), Pj)
+        Pj = np.where(C > _INVALID, np.int8(PROV_CONTINUATION), np.int8(0))
         U[:, j, col] = V
-        S[:, j, col] = Sj
-        P[:, j, col] = Pj
+        S[:, j, col] = _support_slopes(C, ys, grid.prices[col], grid.spec.delta, stop)
+        P[:, j, col] = Pj if stop is None else np.where(stop, np.int8(PROV_Q_MAX), Pj)
     return U, S, P
+
+
+def _support_slopes(C: np.ndarray, ys: dict, prices: np.ndarray, delta: float, stop) -> np.ndarray:
+    """Hedge slope at each vertex of a column swept by :func:`_sweep_banded`: the support
+    slope nearest zero of its continuation ``C`` over every dk's window maximum ``ys``,
+    NaN where it has no continuation, 0 at a forced ``stop``, elementwise."""
+    lo, hi = np.full(C.shape, -np.inf), np.full(C.shape, np.inf)
+    for a in (d for d in ys if d > 0):
+        np.maximum(lo, (ys[a] - C) / (prices * math.expm1(a * delta)), out=lo)
+    for b in (d for d in ys if d < 0):
+        np.minimum(hi, (ys[b] - C) / (prices * math.expm1(b * delta)), out=hi)
+    ok = C > _INVALID
+    S = np.where(ok, np.minimum(np.maximum(0.0, lo), hi), np.nan)
+    if stop is not None:
+        S[stop & ~ok] = 0.0  # forced stop: no move is left
+    return S
 
 
 def _priced(spec: GridSpec, rule: TransitionRule, roots: list) -> list:
@@ -270,7 +272,7 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     Since the upper sweep takes max(payoff, continuation) on intermediate
     liquidation columns, the lower bound takes min(payoff, continuation)
     there.  Unlike :func:`price`, it keeps the full value, slope and
-    provenance surfaces, which hedging reads.
+    provenance surfaces, for the surface CSV and library callers.
 
     The sweep prices every vertex it can, reachable from (0, 0) or not, and
     leaves the rest NaN.  An unpriced reachable vertex leaves the root
@@ -278,6 +280,16 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     :class:`ModelValidationError` reports the vertices that are not 0-neutral.
     """
     return _bounds_from(grid, rule, payoff, _banded_surfaces)
+
+
+def _live_cone(grid: Grid, rule: TransitionRule) -> list[int]:
+    """Half-width of each column's cone reachable from the root: each move has |dk| <= a/b * dj,
+    a/b the largest |dk|/lo of any band (the sweep rejects lo < 1; floats order such
+    ratios exactly), so reachable |k| <= a*j // b."""
+    lists = {id(bands): bands for bands in _column_lists(grid.spec, rule)}.values()
+    a, b = max({(abs(dk), max(lo, 1)) for bands in lists for dk, lo, _, _ in bands},
+               key=lambda r: r[0] / r[1], default=(0, 1))
+    return [min(w, a * j // b) for j, w in enumerate(grid.half_widths.tolist())]
 
 
 def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float, float]]:
@@ -290,13 +302,7 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
     """
     grids = [(build_grid(dataclasses.replace(spec, s0=s0)), payoff) for s0, payoff in points]
     Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
-    # Each move has |dk| <= a/b * dj, a/b the largest |dk|/lo of any band (the sweep
-    # rejects lo < 1; floats order such ratios exactly), so reachable |k| <= a*j // b.
-    lists = {id(bands): bands for bands in _column_lists(spec, rule)}.values()
-    a, b = max({(abs(dk), max(lo, 1)) for bands in lists for dk, lo, _, _ in bands},
-               key=lambda r: r[0] / r[1], default=(0, 1))
-    live = [min(w, a * j // b) for j, w in enumerate(grids[0][0].half_widths.tolist())]
-    for _, _, V, *_ in _sweep_banded(grids[0][0], rule, Z, live):
+    for _, _, V, *_ in _sweep_banded(grids[0][0], rule, Z, _live_cone(grids[0][0], rule)):
         pass
     roots = _priced(spec, rule, V[:, 0].tolist())
     return [(-lo, hi) for hi, lo in zip(roots[::2], roots[1::2])]

@@ -79,19 +79,23 @@ class Payoff:
         return cls("CUSTOM_TABLE", table=items)
 
     def value_at(self, price: float) -> float:
-        if self.kind == "CALL":
-            return max(price - self.k1, 0.0)
-        if self.kind == "PUT":
-            return max(self.k1 - price, 0.0)
-        if self.kind == "BUTTERFLY":
-            if price <= 0.5 * (self.k1 + self.k2):
-                return max(price - self.k1, 0.0)
-            return max(self.k2 - price, 0.0)
         if self.kind == "CUSTOM_TABLE":
             for s, v in self.table:
                 if s == price:
                     return v
             raise KeyError(f"no table entry for terminal price {price!r}")
+        return self.values_at(np.float64(price)).item()
+
+    def values_at(self, prices: np.ndarray) -> np.ndarray:
+        """The payoff at each price of ``prices`` (not for CUSTOM_TABLE); ``np.maximum(0.0, x)``
+        is Python's ``max(x, 0.0)``, signed zeros included."""
+        if self.kind == "PUT":
+            return np.maximum(0.0, self.k1 - prices)
+        call = np.maximum(0.0, prices - self.k1)
+        if self.kind == "CALL":
+            return call
+        if self.kind == "BUTTERFLY":
+            return np.where(prices <= 0.5 * (self.k1 + self.k2), call, np.maximum(0.0, self.k2 - prices))
         raise ValueError(f"unknown payoff kind {self.kind!r}")
 
     def negated(self) -> "Payoff":

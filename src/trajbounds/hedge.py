@@ -9,8 +9,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import engine
 from .grid import BoundsGrid, Grid, payoff_eval
-from .model import TransitionRule, Vertex, reachable
+from .model import TransitionRule, Vertex, _clipped_bands, reachable
 
 SHORT = "SHORT"
 LONG = "LONG"
@@ -37,36 +38,45 @@ class Trajectory:
         return len(self.vertices)
 
 
-def _from_vertices(grid: Grid, vertices: tuple[Vertex, ...]) -> Trajectory:
-    return Trajectory(vertices=vertices, prices=tuple(grid.price(k) for k, _ in vertices))
-
-
 def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) -> list[Trajectory]:
     """One random admissible path per seed, drawn from ``random.Random(seed)``:
     uniform successor choice, stop with probability 1/2 on each intermediate
     liquidation column, always stop on the last one.  All paths advance one
-    column at a time, so each distinct vertex asks for its successors once."""
+    column at a time, and each column's paths draw from one table of that column's
+    moves: the successors of :func:`reachable`, in its order, duplicates included."""
     spec = grid.spec
     lam = set(spec.lam)
     # waiting[j]: (path, its generator) for each path now at column j.
     waiting = [[([(0, 0)], random.Random(seed)) for seed in seeds]] + [[] for _ in range(spec.n2)]
     paths = [path for path, _ in waiting[0]]
     for j in range(spec.n2):
-        succs: dict[int, list[Vertex]] = {}  # dropped with the column
-        for path, rng in waiting[j]:
-            if j in lam and rng.random() < 0.5:
-                continue
-            k = path[-1][0]
-            if k not in succs:
-                succs[k] = reachable(spec, rule, (k, j))
-            succ = succs[k]
-            if not succ and j not in lam:
-                raise ValueError(f"dead end at {(k, j)}: model was not validated")
-            if succ:
-                path.append(succ[rng.randrange(len(succ))])
-                waiting[path[-1][1]].append((path, rng))
+        walkers = [(path, rng) for path, rng in waiting[j] if j not in lam or rng.random() >= 0.5]
         waiting[j] = []
-    return [_from_vertices(grid, tuple(path)) for path in paths]
+        if not walkers:
+            continue
+        # The moves in reachable's order, by dj and then by band (dk, lo, hi); a move is
+        # open at a walker's vertex where its band applies and it stays in the grid.
+        bands = sorted(_clipped_bands(spec, rule, j), key=lambda b: b[:3])
+        moves = sorted((dj, b, dk) for b, (dk, lo, hi, _) in enumerate(bands) for dj in range(lo, hi + 1))
+        dj, band, dk = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+        ks = np.array([path[-1][0] for path, _ in walkers])
+        is_open = np.abs(ks + dk[:, None]) <= grid.half_widths[j + dj][:, None]
+        if any(m is not None for *_, m in bands):
+            is_open &= np.array([np.ones(spec.width, bool) if m is None else m
+                                 for *_, m in bands])[np.ix_(band, ks + spec.n1)]
+        n = is_open.sum(axis=0).tolist()
+        if 0 in n and j not in lam:
+            raise ValueError(f"dead end at {(walkers[n.index(0)][0][-1][0], j)}: model was not validated")
+        draws = [rng.randrange(c) if c else -1 for (_, rng), c in zip(walkers, n)]
+        # Draw r takes the (r+1)-th open move: move r if all are, else the first whose running count passes r.
+        picks = draws if is_open.all() else (is_open.cumsum(axis=0) <= draws).sum(axis=0).tolist()
+        dk, dj = dk.tolist(), dj.tolist()
+        for walker, r, m in zip(walkers, draws, picks):
+            if r >= 0:
+                walker[0].append((walker[0][-1][0] + dk[m], j + dj[m]))
+                waiting[j + dj[m]].append(walker)
+    levels = grid.prices.tolist()
+    return [Trajectory(tuple(path), tuple([levels[k + spec.n1] for k, _ in path])) for path in paths]
 
 
 def sample_trajectory(rule: TransitionRule, grid: Grid, seed: int) -> Trajectory:
@@ -92,6 +102,22 @@ def _slopes(bounds: BoundsGrid, trajs: Sequence[Trajectory], side: str) -> np.nd
         raise ValueError(f"no hedge recorded at vertex {v}" if inside[bad[0]]
                          else f"vertex {v} is not in the grid")
     return slopes
+
+
+def path_hedges(rule: TransitionRule, grid: Grid, Z: np.ndarray, trajs: Sequence[Trajectory]):
+    """``(lower, upper)`` at the root and the ``{SHORT, LONG}`` slopes of :func:`_slopes`
+    (bitwise) for the terminal rows ``Z = [z, -z]``, from one sweep of the cone the root
+    reaches, each column's slopes read at its path vertices; an unpriced root raises the audit's error."""
+    k, j = np.fromiter((x for t in trajs for v in t.vertices[:-1] for x in v), np.int64).reshape(-1, 2).T
+    order = np.argsort(j, kind="stable")
+    first = np.searchsorted(j[order], np.arange(grid.spec.n2 + 1)).tolist()  # of each column
+    S = np.empty((len(Z), len(k)))
+    for jj, cone, V, ys, C, stop in engine._sweep_banded(grid, rule, Z, engine._live_cone(grid, rule)):
+        at = order[first[jj]: first[jj + 1]]
+        slopes = engine._support_slopes(C, ys, grid.prices[cone], grid.spec.delta, stop)
+        S[:, at] = slopes[:, k[at] + grid.spec.n1 - cone.start]
+    hi, lo = engine._priced(grid.spec, rule, V[:, 0].tolist())
+    return (-lo, hi), {SHORT: S[0], LONG: S[1]}
 
 
 def extract_hedge(bounds: BoundsGrid, traj: Trajectory, side: str = SHORT) -> tuple[float, ...]:
@@ -163,7 +189,12 @@ def ledger_finals(bounds: BoundsGrid, trajs: Sequence[Trajectory], side: str,
     """``simulate_pnl(bounds, traj, side, x0).final`` for each ``x0`` (rows) and
     trajectory (columns), bitwise: the slopes are gathered once, and
     ``np.add.accumulate`` adds ``[x0, (sign * slope) * dS, ...]`` left to right."""
-    slopes = _slopes(bounds, trajs, side)
+    return hedged_finals(trajs, _slopes(bounds, trajs, side), side, x0s)
+
+
+def hedged_finals(trajs: Sequence[Trajectory], slopes: np.ndarray, side: str,
+                  x0s: Sequence[float]) -> np.ndarray:
+    """:func:`ledger_finals` with the ``slopes`` at the non-terminal vertices of ``trajs``, in path order."""
     incs = ((1.0 if side == SHORT else -1.0) * slopes) * np.array(
         [b - a for t in trajs for a, b in zip(t.prices, t.prices[1:])])
     steps = np.array([len(t) - 1 for t in trajs], dtype=np.int64)
@@ -210,5 +241,5 @@ def enumerate_trajectories(rule: TransitionRule, grid: Grid) -> Iterator[Traject
             continue
         path.append(v)
         if v[1] in lam:
-            yield _from_vertices(grid, tuple(path))
+            yield Trajectory(tuple(path), tuple(grid.price(k) for k, _ in path))
         stack.append(iter(reachable(spec, rule, v) if v[1] < spec.n2 else ()))

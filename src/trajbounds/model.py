@@ -191,7 +191,6 @@ class TransitionRule:
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
         """The bands of ``column_bands(spec, j)`` that apply at in-grid vertex (k, j)."""
         i = k + spec.n1
-        # A list, not a generator: the generator form cost hedge-sim ~1 MiB of peak RSS.
         return tuple([(dk, lo, hi) for dk, lo, hi, mask in self.column_bands(spec, j)
                       if mask is None or mask[i]])
 

@@ -76,6 +76,19 @@ class TestExitCodes:
         assert ("validation failure: 10 reachable vertices are not 0-neutral, first (-5, 5)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("extra, code, message", [
+        ("payoff = put\nK = 1e260\n", 2, "config error: payoff is 1e+260"),
+        ("eps_short_hi = nan\n", 1,
+         "validation failure: 10 reachable vertices are not 0-neutral, first (-5, 5)"),
+    ], ids=["payoff_before_audit", "audit_before_eps"])
+    def test_hedge_sim_failure_order(self, tmp_path, capsys, extra, code, message):
+        # On an invalid model, hedge-sim reads the payoff first, then runs the
+        # audit, and only then checks the eps offsets.
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n" + extra)
+        assert main(["hedge-sim", "--config", cfg, "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["merton-scan", "arbitrage-scan"])
     def test_scan_checks_every_spot_before_pricing(self, tmp_path, capsys, command):
         # Every point's spec is built before the one sweep, so a bad spot

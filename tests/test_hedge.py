@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from trajbounds.engine import compute_bounds, inject_arbitrage, price
+from trajbounds.engine import _terminal_rows, compute_bounds, inject_arbitrage, price
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.hedge import (
     LONG,
@@ -15,6 +15,7 @@ from trajbounds.hedge import (
     enumerate_trajectories,
     extract_hedge,
     ledger_finals,
+    path_hedges,
     sample_trajectories,
     sample_trajectory,
     simulate_pnl,
@@ -27,6 +28,7 @@ from trajbounds.model import (
     spec_for_rule,
     spec_from_total_variance,
 )
+from test_model import DoubleStepRule, FlatTailRule, OverlapRule
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -280,6 +282,32 @@ class TestBatchedPaths:
         assert all(t.prices == tuple(grid.price(k) for k, _ in t.vertices) for t in got)
         assert len({t.terminal[1] for t in got}) == len(grid.spec.lam)
 
+    @pytest.mark.parametrize("rule, n2, lam", [
+        (OverlapRule(), 12, (6, 12)),
+        (FlatTailRule(), 12, (6, 12)),
+        (DoubleStepRule(), 10, (4, 10)),
+    ], ids=["overlap", "flat_tail", "double_step"])
+    def test_test_rules_match_per_seed(self, rule, n2, lam):
+        # Not every test rule is a valid model, so the grid is built unpriced.
+        grid = build_grid(spec_for_rule(rule, 1.0, 0.05, 0.05, n2, n2, lam=lam))
+        if isinstance(rule, OverlapRule):  # two bands list the same successor
+            assert reachable(grid.spec, rule, (0, 0)).count((1, 1)) == 2
+        seeds = range(60)
+        got = sample_trajectories(rule, grid, seeds)
+        assert [t.vertices for t in got] == [sample_reference(rule, grid, s) for s in seeds]
+
+    @pytest.mark.parametrize("lam", [None, (4, 9)], ids=["last_only", "inner_lam"])
+    def test_dead_end_error_matches_per_seed(self, lam):
+        # Only even columns are reachable, so column 8 is all dead ends.
+        rule = DoubleStepRule()
+        grid = build_grid(spec_for_rule(rule, 1.0, 0.05, 0.05, 9, 9, lam=lam))
+        with pytest.raises(ValueError) as ref:
+            for s in range(40):
+                sample_reference(rule, grid, s)
+        with pytest.raises(ValueError, match=r"^dead end at \(-?\d+, 8\)") as got:
+            sample_trajectories(rule, grid, range(40))
+        assert str(got.value) == str(ref.value)
+
     @BATCH_CASES
     def test_ledger_finals_match_simulate_pnl(self, rule, n2, lam):
         grid, bounds = bounds_for(rule, n2, lam=lam)
@@ -290,6 +318,18 @@ class TestBatchedPaths:
             ref = np.array([[simulate_pnl(bounds, t, side, x0).final for t in trajs]
                             for x0 in x0s])
             assert ledger_finals(bounds, trajs, side, x0s).tobytes() == ref.tobytes()
+
+    @BATCH_CASES
+    def test_path_hedges_match_compute_bounds(self, rule, n2, lam):
+        # One live-cone sweep gives the surfaces' root interval and path slopes, bitwise.
+        grid, bounds = bounds_for(rule, n2, lam=lam)
+        trajs = sample_trajectories(rule, grid, range(40))
+        Z = _terminal_rows(CALL, grid.prices.tolist(), -grid.spec.n1)
+        (lo, hi), slopes = path_hedges(rule, grid, Z, trajs)
+        assert (lo, hi) == bounds.price_interval()
+        for side in (SHORT, LONG):
+            want = [s for t in trajs for s in extract_hedge(bounds, t, side)]
+            assert slopes[side].tobytes() == np.array(want).tobytes()
 
     def test_ledger_finals_nan_slope_error(self):
         rule = MARule(3)

@@ -36,7 +36,11 @@ and the five ``engine.compute_bounds`` arrays of the call and the butterfly
 on rules whose band lists vary by column: MA p = 8 at N2 = 40, where every
 column's dj windows are cut at the last column; MB p = 5, A = 3 with flat
 moves; and MA p = 3 with injected arbitrage (fraction 0.1, seed 1) and
-liquidation columns (20, 40).  To check that
+liquidation columns (20, 40).  A last line hashes the exit code, error text,
+CSV and SVG of ``hedge-sim --svg`` at the shape of perfbench's ``hedge``
+workload (MA p = 3, N2 = N1 = 200, Lambda = (100, 200), 500 paths), where the
+live cone is narrower than the grid and Lambda has an inner column, with a
+fixed seed and strike.  To check that
 a refactor leaves every result
 bitwise equal, run the script on both trees and compare::
 
@@ -87,6 +91,8 @@ PLANS = {  # name: (rule, N2, liquidation columns), n1 = N2, v0 = 0.0067
     "MB5A3-flat-n2=40": (MBRule(5, 3, allow_flat=True), 40, None),
     "inject(MA3,0.1,1)-n2=40-lam=20,40": (engine.inject_arbitrage(MARule(3), 0.1, 1), 40, (20, 40)),
 }
+HEDGE = ("model = ma\np = 3\nN2 = 200\nv0 = 0.0067\ns0 = 1.0\nK = 1.0123\nLambda = 100,200\n"
+         "n_paths = 500\neps_short_hi = 0.0\neps_long_lo = 0.0\nseed = 4242\n")  # perfbench hedge's shape
 BAD_MODEL = "model = ma\np = 3\nN1 = 5\nN2 = 10\nv0 = 0.0067\n"  # not 0-neutral at k = -5
 SCANS = {  # command: (valid config, invalid config)
     "merton-scan": ("model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nsigma = 0.2\nT = 0.1667\n",
@@ -261,6 +267,9 @@ def main() -> None:
                 h = Hasher()
                 run_cli(h, command, text, Path(tmp))
                 print(f"scan {command} {label} {h.h.hexdigest()}")
+        h = Hasher()
+        run_cli(h, "hedge-sim", HEDGE, Path(tmp))
+        print(f"hedge-sim hedge {h.h.hexdigest()}")
 
 
 if __name__ == "__main__":
