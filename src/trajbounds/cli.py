@@ -313,11 +313,11 @@ def cmd_vol_scan(cfg: ExperimentConfig):
     rows = []
     for j in range(1, steps + 1):
         n2 = unit * j
-        for mode, lam in (("single", (n2,)),
-                          ("cumulative", tuple(unit * r for r in range(1, j + 1)))):
-            spec = spec_for_rule(rule, s0=s0, delta=d0, beta=d0, n1=n2, n2=n2, lam=lam)
-            bounds = engine.price_all(spec, rule, [(s0, z) for z in payoffs])
-            rows += ([j, n2 * d0 * d0, mode, z.kind, lo, hi] for z, (lo, hi) in zip(payoffs, bounds))
+        modes = {"single": (n2,), "cumulative": tuple(unit * r for r in range(1, j + 1))}
+        cases = [(mode, z, lam) for mode, lam in modes.items() for z in payoffs]  # lanes of one sweep
+        spec = spec_for_rule(rule, s0=s0, delta=d0, beta=d0, n1=n2, n2=n2)
+        bounds = engine.price_all(spec, rule, [(s0, z, lam) for _, z, lam in cases])
+        rows += ([j, n2 * d0 * d0, mode, z.kind, lo, hi] for (mode, z, _), (lo, hi) in zip(cases, bounds))
     header = ["j", "v_j", "mode", "payoff", "lower", "upper"]
     chart = charts.ChartSpec(x="j", ys=("lower", "upper"), series=("mode", "payoff"),
                              title="bounds vs accumulated variation",

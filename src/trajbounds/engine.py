@@ -11,7 +11,8 @@ lower bounds come from one batched sweep over each column's live cone of the
 stacked rows ``[Z, -Z]``, which builds what a band list reads (windows, nested
 where they share their last row, and pair weights) once per sweep as a plan:
 ``compute_bounds`` keeps full surfaces, ``price_all`` only the roots of many
-``(s0, payoff)`` points, as lanes, and ``hedge.path_hedges`` path slopes.
+``(s0, payoff[, lam])`` points, as lanes that each stop on their own liquidation
+columns, and ``hedge.path_hedges`` path slopes.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _window_maxima(rows: np.ndarray, wins: list) -> dict:
     return win
 
 
-def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[int]):
+def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[int], stops: dict | None = None):
     """Vectorized descending-j sweep of the stacked terminal rows ``Z`` (lanes, W).
 
     Column j has vertices only on its live cone, rows ``n1-live[j] .. n1+live[j]``,
@@ -141,7 +142,9 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     the live cone widened to a multiple of 16 rows, as numpy keeps freed blocks
     under 1 KiB per size.  ``V`` are values, ``ys`` window maxima per dk, ``C`` the
     continuation (at most ``_INVALID`` where none exists, NaN off the live cone),
-    ``stop`` a liquidation column's stop mask (else None).  Only the next
+    ``stop`` a liquidation column's stop mask (else None).  ``stops`` maps each
+    liquidation column to the lanes that may stop there, a (lanes, 1) mask or True
+    for all (by default every lane stops on ``spec.lam``).  Only the next
     ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row j+d.
     ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and
     the D-1 rows still needed move up once every D columns.  Columns with the same
@@ -154,7 +157,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     """
     spec = grid.spec
     n1, n2 = spec.n1, spec.n2
-    lam = set(spec.lam)
+    stops = dict.fromkeys(spec.lam, True) if stops is None else stops
     pmax = max(spec.p, rule.p)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
     lists = _column_lists(spec, rule)
@@ -199,14 +202,16 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
 
         ok = C > _INVALID
         V = np.where(ok, C, np.nan)
-        stop = None
-        if j in lam:
+        stop = lanes = stops.get(j)
+        if lanes is not None:
             # Forced liquidation where no move is left (a NaN target is a
             # move); elsewhere stop where the payoff beats continuation.
             stuck = C <= _INVALID
             for y in ys.values():
                 stuck &= y <= _INVALID
             stop = stuck | (Z[:, cone] > V)  # NaN-safe: comparisons with NaN are False
+            if lanes is not True:
+                stop &= lanes
             V = np.where(stop, Z[:, cone], V)
 
         yield j, cone, V, ys, C, stop
@@ -293,18 +298,25 @@ def _live_cone(grid: Grid, rule: TransitionRule) -> list[int]:
 
 
 def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float, float]]:
-    """(lower, upper) worst-case price interval at the root vertex (0, 0) of
-    ``spec`` with each ``s0``, for each ``(s0, payoff)`` of ``points``.
+    """(lower, upper) worst-case price interval at the root vertex (0, 0) for each
+    point ``(s0, payoff)`` or ``(s0, payoff, lam)`` of ``points``, priced on ``spec``
+    with that ``s0`` and ``lam`` (by default ``spec.lam``).
 
-    The sweep never reads ``s0``, so each point's terminal rows ``[Z, -Z]``
-    are two lanes of one banded pass over the reachable cone, equal to a
-    one-point pass bitwise; an unpriced root raises the audit's error.
+    The sweep never reads ``s0``, and ``lam`` only where a lane may stop, so each
+    point's terminal rows ``[Z, -Z]`` are two lanes of one banded pass over the
+    reachable cone, each stopping on its own liquidation columns, equal to a
+    one-point pass bitwise; an unpriced root raises the audit's error for the
+    first unpriced point.
     """
-    grids = [(build_grid(dataclasses.replace(spec, s0=s0)), payoff) for s0, payoff in points]
-    Z = np.concatenate([_terminal_rows(z, g.prices.tolist(), -spec.n1) for g, z in grids])
-    for _, _, V, *_ in _sweep_banded(grids[0][0], rule, Z, _live_cone(grids[0][0], rule)):
+    specs = [dataclasses.replace(spec, s0=s0, lam=lam[0] if lam else spec.lam) for s0, _, *lam in points]
+    grids = [build_grid(s) for s in specs]
+    Z = np.concatenate([_terminal_rows(p[1], g.prices.tolist(), -spec.n1) for g, p in zip(grids, points)])
+    lanes = {j: np.repeat([j in s.lam for s in specs], 2)[:, None] for j in {j for s in specs for j in s.lam}}
+    stops = {j: True if on.all() else on for j, on in lanes.items()}
+    for _, _, V, *_ in _sweep_banded(grids[0], rule, Z, _live_cone(grids[0], rule), stops):
         pass
-    roots = _priced(spec, rule, V[:, 0].tolist())
+    roots = V[:, 0].tolist()
+    roots = _priced(specs[next((i // 2 for i, r in enumerate(roots) if r != r), 0)], rule, roots)
     return [(-lo, hi) for hi, lo in zip(roots[::2], roots[1::2])]
 
 

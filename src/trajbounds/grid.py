@@ -193,16 +193,16 @@ class BoundsGrid:
     def to_csv(self, path) -> None:
         spec = self.grid.spec
         levels = [repr(s) for s in self.grid.prices.tolist()]  # one repr per price level
+        ks = [str(k) for k in range(-spec.n1, spec.n1 + 1)]
+        ends = {c: f"{name}\n" for c, name in _PROV_NAMES.items()}
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("k,j,s_k,upper,lower,slope_up,slope_dn,provenance\n")
             # One column at a time, as Python floats: per-vertex repr(float(v)),
-            # "" for NaN.  No field needs CSV quoting, so lines are joined.
+            # "" for NaN.  No field needs CSV quoting, so fields and lines are joined.
             for j in range(spec.n2 + 1):
                 hw = spec.column_half_width(j)
                 col = slice(spec.n1 - hw, spec.n1 + hw + 1)
                 cells = [["" if v != v else repr(v) for v in a[j, col].tolist()]
                          for a in (self.upper, self.lower, self.slope_up, self.slope_dn)]
-                names = [_PROV_NAMES[c] for c in self.prov[j, col].tolist()]
-                f.write("".join(f"{k},{j},{s},{u},{lo},{su},{sd},{name}\n"
-                                for k, s, u, lo, su, sd, name
-                                in zip(range(-hw, hw + 1), levels[col], *cells, names)))
+                names = [ends[c] for c in self.prov[j, col].tolist()]
+                f.write("".join(map(",".join, zip(ks[col], [str(j)] * len(names), levels[col], *cells, names))))

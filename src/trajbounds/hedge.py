@@ -46,6 +46,9 @@ def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) 
     moves: the successors of :func:`reachable`, in its order, duplicates included."""
     spec = grid.spec
     lam = set(spec.lam)
+    lists = engine._column_lists(spec, rule)
+    H = max((hi for bands in {id(b): b for b in lists}.values() for *_, hi, _ in bands), default=0)
+    tables = {}  # one move table per band list and cut, as the sweep shares its plans
     # waiting[j]: (path, its generator) for each path now at column j.
     waiting = [[([(0, 0)], random.Random(seed)) for seed in seeds]] + [[] for _ in range(spec.n2)]
     paths = [path for path, _ in waiting[0]]
@@ -54,27 +57,32 @@ def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) 
         waiting[j] = []
         if not walkers:
             continue
-        # The moves in reachable's order, by dj and then by band (dk, lo, hi); a move is
-        # open at a walker's vertex where its band applies and it stays in the grid.
-        bands = sorted(_clipped_bands(spec, rule, j), key=lambda b: b[:3])
-        moves = sorted((dj, b, dk) for b, (dk, lo, hi, _) in enumerate(bands) for dj in range(lo, hi + 1))
-        dj, band, dk = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+        key = id(lists[j]), min(spec.n2 - j, H)  # past H, a cut changes nothing
+        if key not in tables:
+            # The moves in reachable's order, by dj and then by band (dk, lo, hi), and
+            # where each move's band applies (None: everywhere).
+            bands = sorted(_clipped_bands(spec, rule, j), key=lambda b: b[:3])
+            moves = sorted((dj, b, dk) for b, (dk, lo, hi, _) in enumerate(bands) for dj in range(lo, hi + 1))
+            dj, band, dk = np.array(moves, dtype=np.int64).reshape(-1, 3).T
+            masks = None if all(m is None for *_, m in bands) else np.array(
+                [np.ones(spec.width, bool) if m is None else m for *_, m in bands])[band]
+            tables[key] = dj, dk, dj.tolist(), dk.tolist(), masks
+        dj, dk, djs, dks, masks = tables[key]
+        # A move is open at a walker's vertex where its band applies and it stays in the grid.
         ks = np.array([path[-1][0] for path, _ in walkers])
         is_open = np.abs(ks + dk[:, None]) <= grid.half_widths[j + dj][:, None]
-        if any(m is not None for *_, m in bands):
-            is_open &= np.array([np.ones(spec.width, bool) if m is None else m
-                                 for *_, m in bands])[np.ix_(band, ks + spec.n1)]
+        if masks is not None:
+            is_open &= masks[:, ks + spec.n1]
         n = is_open.sum(axis=0).tolist()
         if 0 in n and j not in lam:
             raise ValueError(f"dead end at {(walkers[n.index(0)][0][-1][0], j)}: model was not validated")
         draws = [rng.randrange(c) if c else -1 for (_, rng), c in zip(walkers, n)]
         # Draw r takes the (r+1)-th open move: move r if all are, else the first whose running count passes r.
         picks = draws if is_open.all() else (is_open.cumsum(axis=0) <= draws).sum(axis=0).tolist()
-        dk, dj = dk.tolist(), dj.tolist()
         for walker, r, m in zip(walkers, draws, picks):
             if r >= 0:
-                walker[0].append((walker[0][-1][0] + dk[m], j + dj[m]))
-                waiting[j + dj[m]].append(walker)
+                walker[0].append((walker[0][-1][0] + dks[m], j + djs[m]))
+                waiting[j + djs[m]].append(walker)
     levels = grid.prices.tolist()
     return [Trajectory(tuple(path), tuple([levels[k + spec.n1] for k, _ in path])) for path in paths]
 

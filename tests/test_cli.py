@@ -333,14 +333,14 @@ class TestCommands:
         ("merton-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\n", 1),
         ("arbitrage-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nseed = 1\n"
                            "fraction_list = 0,0.1,0.3\n", 3),
-        ("vol-scan", "vol_unit = 5\nvol_steps = 3\n", 2 * 3),
+        ("vol-scan", "vol_unit = 5\nvol_steps = 3\n", 3),
     ], ids=["merton-scan", "arbitrage-scan", "vol-scan"])
     def test_scan_sweeps_once_per_grid_shape(self, tmp_path, monkeypatch, command, text, sweeps):
-        # Spots and payoffs on one grid shape are lanes of one sweep.
+        # Spots, payoffs and liquidation columns on one grid shape are lanes of one sweep.
         sweep = engine._sweep_banded
         calls = []
-        monkeypatch.setattr(engine, "_sweep_banded",
-                            lambda grid, rule, Z, live: calls.append(len(Z)) or sweep(grid, rule, Z, live))
+        monkeypatch.setattr(engine, "_sweep_banded", lambda grid, rule, Z, live, stops=None:
+                            calls.append(len(Z)) or sweep(grid, rule, Z, live, stops))
         assert main([command, "--config", write_cfg(tmp_path / "a.cfg", text),
                      "--out", str(tmp_path)]) == 0
         rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()[1:]

@@ -516,9 +516,9 @@ class TestPriceAll:
     def separately(spec, rule, points):
         """price() of each point on its own spec, or the error it raises."""
         out = []
-        for s0, z in points:
+        for s0, z, *lam in points:
             try:
-                out.append(price(dataclasses.replace(spec, s0=s0), rule, z))
+                out.append(price(dataclasses.replace(spec, s0=s0, lam=lam[0] if lam else spec.lam), rule, z))
             except (ValueError, ArithmeticError) as e:
                 out.append((type(e), str(e)))
         return out
@@ -540,6 +540,52 @@ class TestPriceAll:
         assert repr(price_all(spec, rule, points)) == repr(want)
         order = np.random.default_rng(n2).permutation(len(points)).tolist()
         assert repr(price_all(spec, rule, [points[i] for i in order])) == repr([want[i] for i in order])
+
+    @pytest.mark.parametrize("rule", [
+        bjn_rule(), MARule(3), MARule(2, allow_flat=True), MBRule(3, 2),
+        inject_arbitrage(MARule(3), 0.1, 1)], ids=["BJN", "MA3", "MA2-flat", "MB3A2", "inject"])
+    @pytest.mark.parametrize("n2", [20, 60])
+    def test_mixed_lam_lanes_equal_separate_prices_bitwise(self, rule, n2):
+        # Each lane stops on its own liquidation columns (1 to 5 of them).
+        step = math.sqrt(V0 / n2)
+        spec = spec_for_rule(rule, 1.0, step, step, n2, n2)
+        lams = [(n2,), (n2 // 2, n2), (1, n2 // 3, n2 - 1, n2), tuple(range(n2 // 5, n2 + 1, n2 // 5))]
+        points = [(s0, z, lam) for s0 in (0.9, 1.0, 1.1) for z in (CALL, PUT, BFLY) for lam in lams]
+        want = self.separately(spec, rule, points)
+        assert all(isinstance(w[0], float) for w in want)
+        assert repr(price_all(spec, rule, points)) == repr(want)
+        order = np.random.default_rng(n2).permutation(len(points)).tolist()
+        assert repr(price_all(spec, rule, [points[i] for i in order])) == repr([want[i] for i in order])
+        # A point without a lam stops on spec.lam.
+        assert repr(price_all(spec, rule, [p[:2] if p[2] == spec.lam else p for p in points])) == repr(want)
+
+    @pytest.mark.parametrize("bad", [(10, 5, 20), (5, 10), (10, 10, 20), ()])
+    def test_bad_lam_raises_grid_spec_error(self, bad):
+        rule = MARule(3)
+        spec = unit_spec(rule, 20, 20)
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(spec, lam=bad)
+        with pytest.raises(ValueError) as got:
+            price_all(spec, rule, [(1.0, CALL, (10, 20)), (1.0, CALL, bad), (1.0, BFLY)])
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_audit_runs_on_first_unpriced_point(self):
+        # A double-step rule has no move from column 4 of 5: only a stop there prices it.
+        rule = DoubleStepRule()
+        spec = unit_spec(rule, 5, 5)
+        points = [(1.0, CALL, (4, 5)), (1.1, BFLY, (2, 5)), (0.9, CALL), (1.0, PUT, (1, 2, 3, 4, 5))]
+        priced = self.separately(spec, rule, points)
+        assert [isinstance(w[0], float) for w in priced] == [True, False, False, True]
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+            first = next(i for i in order if not isinstance(priced[i][0], float))
+            s0, _, *lam = points[first]
+            with pytest.raises(ModelValidationError) as want:
+                price(dataclasses.replace(spec, s0=s0, lam=lam[0] if lam else spec.lam), rule, CALL)
+            with pytest.raises(ModelValidationError) as got:
+                price_all(spec, rule, [points[i] for i in order])
+            assert str(got.value) == str(want.value)
+            assert got.value.report.spec == want.value.report.spec
+            assert got.value.report.summary() == want.value.report.summary()
 
     def test_invalid_model_raises_price_error(self):
         rule = MARule(3)
@@ -698,8 +744,8 @@ class TestLiveCone:
     def swept_widths(monkeypatch, spec, rule, points):
         """The ``live`` widths that ``price_all`` hands to the sweep."""
         sweep, seen = engine._sweep_banded, []
-        monkeypatch.setattr(engine, "_sweep_banded",
-                            lambda grid, rule, Z, live: seen.append(live) or sweep(grid, rule, Z, live))
+        monkeypatch.setattr(engine, "_sweep_banded", lambda grid, rule, Z, live, stops=None:
+                            seen.append(live) or sweep(grid, rule, Z, live, stops))
         try:
             price_all(spec, rule, points)
         except ModelValidationError:

@@ -27,7 +27,8 @@ and, for that spec:
 More families hash ``bands()``, ``kind``, ``repr``, ``p`` and ``max_dj`` of
 MA and MB rules for p = 1..9, the ``ModifiedRule`` selections, and the exit
 code, error text, CSV and SVG of ``merton-scan``, ``arbitrage-scan`` and
-``vol-scan --svg`` on one valid and one invalid config each.  One more
+``vol-scan --svg`` on one valid and one invalid config each, and of two more
+valid ``vol-scan`` configs (MA p = 2 with flat moves, and BJN).  One more
 line hashes ``engine.price_all`` of 5 spots x (call, put, butterfly) at the
 two large shapes of perfbench's ``deep`` workload (MA p = 8 at N2 = 200 and
 BJN at N2 = 1200, n1 = N2), where the sweep's live cone is narrower than the
@@ -101,6 +102,10 @@ SCANS = {  # command: (valid config, invalid config)
                        "fraction_list = 0,0.1,0.3\n", BAD_MODEL),
     "vol-scan": ("model = mb\np = 3\nA = 2\nvol_unit = 5\nvol_steps = 4\nK1 = 0.98\n",
                  "vol_unit = 5\nvol_steps = 2\nK = nan\n"),
+}
+MORE_SCANS = {  # label: further valid vol-scan config
+    "ma2-flat": "model = ma\np = 2\nallow_flat = true\nvol_unit = 5\nvol_steps = 4\n",
+    "bjn": "model = bjn\nvol_unit = 6\nvol_steps = 3\n",
 }
 
 
@@ -267,6 +272,10 @@ def main() -> None:
                 h = Hasher()
                 run_cli(h, command, text, Path(tmp))
                 print(f"scan {command} {label} {h.h.hexdigest()}")
+        for label, text in MORE_SCANS.items():
+            h = Hasher()
+            run_cli(h, "vol-scan", text, Path(tmp))
+            print(f"scan vol-scan valid-{label} {h.h.hexdigest()}")
         h = Hasher()
         run_cli(h, "hedge-sim", HEDGE, Path(tmp))
         print(f"hedge-sim hedge {h.h.hexdigest()}")
