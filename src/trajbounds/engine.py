@@ -37,6 +37,7 @@ from .model import (
     ModifiedRule,
     NotZeroNeutralError,
     TransitionRule,
+    column_moves,
     reachable,  # noqa: F401  perfbench's tracer counts calls of engine.reachable
     validate_model,
 )
@@ -102,17 +103,10 @@ def _pair_combine(C: np.ndarray, ys: dict, em1: dict, on: dict, pairs: tuple | N
         np.maximum(C, np.maximum.reduce(v, out=m), out=C)
 
 
-def _column_lists(spec: GridSpec, rule: TransitionRule) -> list:
-    """``rule.column_bands`` of each column j < n2, one list if the rule does not override it."""
-    if type(rule).column_bands is TransitionRule.column_bands:  # bands() serve every column
-        return [rule.column_bands(spec, 0)] * spec.n2
-    return [rule.column_bands(spec, j) for j in range(spec.n2)]
-
-
-def _sweep_plan(bands: list, top: int, D: int, max_dj: int, em1: dict, weights: dict) -> tuple:
-    """``(dk, window, mask or True)`` per band of ``bands`` kept with dj cut at ``top``, the distinct
-    windows by ``hi``, shortest first, and the moves' :func:`_pair_weights`, shared via ``weights``."""
-    kept = [(dk, (lo, min(hi, top)), True if m is None else m) for dk, lo, hi, m in bands if lo <= min(hi, top)]
+def _sweep_plan(bands: list, D: int, max_dj: int, em1: dict, weights: dict) -> tuple:
+    """``(dk, window, mask or True)`` per band of the cut list ``bands``, the distinct windows
+    by ``hi``, shortest first, and the moves' :func:`_pair_weights`, shared via ``weights``."""
+    kept = [(dk, (lo, hi), True if m is None else m) for dk, lo, hi, m in bands]
     for dk, (lo, hi), _ in kept:
         if lo < 1 or hi > D:  # the buffer holds rows j+1 .. j+D only
             raise ValueError(f"band {(dk, lo, hi)} leaves 1 <= dj <= max_dj={max_dj}")
@@ -148,38 +142,33 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row j+d.
     ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and
     the D-1 rows still needed move up once every D columns.  Columns with the same
-    band list, cut at ``min(n2 - j, H)`` (H the largest ``hi``, past which a cut
-    changes nothing), share one :func:`_sweep_plan`: its bands, checked in band
-    order, its windows, read nested by :func:`_window_maxima`, and its pair
-    weights for :func:`_pair_combine`.  A vertex is left NaN
+    cut list of :func:`column_moves` share one :func:`_sweep_plan`: its bands,
+    checked in band order, its windows, read nested by :func:`_window_maxima`,
+    and its pair weights for :func:`_pair_combine`.  A vertex is left NaN
     where it has no finite local optimum: it is not 0-neutral, it has no move and
     sits off every liquidation column, or one of its successors is NaN.
     """
     spec = grid.spec
     n1, n2 = spec.n1, spec.n2
     stops = dict.fromkeys(spec.lam, True) if stops is None else stops
-    pmax = max(spec.p, rule.p)
+    pmax, D = rule.p, min(rule.max_dj, n2)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
-    lists = _column_lists(spec, rule)
-    H = max((hi for bands in {id(b): b for b in lists}.values() for _, _, hi, _ in bands), default=0)
-    plans, weights = {}, {}
+    moves, plans, weights = column_moves(spec, rule), {}, {}
 
     # Off-cone entries hold the sentinel, so window maxima ignore them, as do
     # the pmax padding columns that make each dk shift a slice.  NaN (unpriced,
     # in the cone) propagates.  Buffer column c + pmax holds row index n1.
     c = max(live)
-    D = min(rule.max_dj, n2)
     buf = np.full((2 * D, len(Z), 2 * (c + pmax) + 1), -_BIG)
     pos = D
     buf[pos, :, pmax: pmax + 2 * c + 1] = Z[:, n1 - c: n1 + c + 1]
 
-    for j in range(n2 - 1, -1, -1):
+    for j, bands in zip(range(n2 - 1, -1, -1), moves[::-1]):
         w, s = live[j], min(c, -(-live[j] // 16) * 16)  # live and swept half-widths
         cone = slice(n1 - s, n1 + s + 1)
-        key = id(lists[j]), min(n2 - j, H)
-        if key not in plans:
-            plans[key] = _sweep_plan(lists[j], key[1], D, rule.max_dj, em1, weights)
-        kept, wins, pairs = plans[key]
+        if id(bands) not in plans:
+            plans[id(bands)] = _sweep_plan(bands, D, rule.max_dj, em1, weights)
+        kept, wins, pairs = plans[id(bands)]
         win = _window_maxima(buf[pos:, :, c - s: c + s + 2 * pmax + 1], wins)
         # Window maxima per dk, same-dk bands merged by max; a masked-off band
         # reads as the sentinel, like a move that leaves the grid.
@@ -291,7 +280,7 @@ def _live_cone(grid: Grid, rule: TransitionRule) -> list[int]:
     """Half-width of each column's cone reachable from the root: each move has |dk| <= a/b * dj,
     a/b the largest |dk|/lo of any band (the sweep rejects lo < 1; floats order such
     ratios exactly), so reachable |k| <= a*j // b."""
-    lists = {id(bands): bands for bands in _column_lists(grid.spec, rule)}.values()
+    lists = {id(bands): bands for bands in column_moves(grid.spec, rule)}.values()
     a, b = max({(abs(dk), max(lo, 1)) for bands in lists for dk, lo, _, _ in bands},
                key=lambda r: r[0] / r[1], default=(0, 1))
     return [min(w, a * j // b) for j, w in enumerate(grid.half_widths.tolist())]
@@ -309,11 +298,12 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
     first unpriced point.
     """
     specs = [dataclasses.replace(spec, s0=s0, lam=lam[0] if lam else spec.lam) for s0, _, *lam in points]
-    grids = [build_grid(s) for s in specs]
-    Z = np.concatenate([_terminal_rows(p[1], g.prices.tolist(), -spec.n1) for g, p in zip(grids, points)])
+    grids = {s0: build_grid(s) for s0, s in {s.s0: s for s in reversed(specs)}.items()}  # of each s0's first point
+    Z = np.concatenate([_terminal_rows(p[1], grids[s.s0].prices.tolist(), -spec.n1) for s, p in zip(specs, points)])
     lanes = {j: np.repeat([j in s.lam for s in specs], 2)[:, None] for j in {j for s in specs for j in s.lam}}
     stops = {j: True if on.all() else on for j, on in lanes.items()}
-    for _, _, V, *_ in _sweep_banded(grids[0], rule, Z, _live_cone(grids[0], rule), stops):
+    grid = grids[specs[0].s0]
+    for _, _, V, *_ in _sweep_banded(grid, rule, Z, _live_cone(grid, rule), stops):
         pass
     roots = V[:, 0].tolist()
     roots = _priced(specs[next((i // 2 for i, r in enumerate(roots) if r != r), 0)], rule, roots)

@@ -98,22 +98,6 @@ class Payoff:
             return np.where(prices <= 0.5 * (self.k1 + self.k2), call, np.maximum(0.0, self.k2 - prices))
         raise ValueError(f"unknown payoff kind {self.kind!r}")
 
-    def negated(self) -> "Payoff":
-        """Payoff -Z as a callable table-free wrapper."""
-        return _NegatedPayoff(self)
-
-
-class _NegatedPayoff:
-    def __init__(self, inner):
-        self.kind = "NEGATED_" + inner.kind
-        self.inner = inner
-
-    def value_at(self, price: float) -> float:
-        return -self.inner.value_at(price)
-
-    def negated(self):
-        return self.inner
-
 
 def payoff_eval(payoff, k: int, spec: GridSpec) -> float:
     """Payoff value at the price level k; price computed exactly as the grid does."""

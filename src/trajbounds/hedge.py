@@ -11,7 +11,7 @@ import numpy as np
 
 from . import engine
 from .grid import BoundsGrid, Grid, payoff_eval
-from .model import TransitionRule, Vertex, _clipped_bands, reachable
+from .model import TransitionRule, Vertex, column_moves, reachable
 
 SHORT = "SHORT"
 LONG = "LONG"
@@ -46,9 +46,8 @@ def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) 
     moves: the successors of :func:`reachable`, in its order, duplicates included."""
     spec = grid.spec
     lam = set(spec.lam)
-    lists = engine._column_lists(spec, rule)
-    H = max((hi for bands in {id(b): b for b in lists}.values() for *_, hi, _ in bands), default=0)
-    tables = {}  # one move table per band list and cut, as the sweep shares its plans
+    lists = column_moves(spec, rule)
+    tables = {}  # one move table per cut list, as the sweep shares its plans
     # waiting[j]: (path, its generator) for each path now at column j.
     waiting = [[([(0, 0)], random.Random(seed)) for seed in seeds]] + [[] for _ in range(spec.n2)]
     paths = [path for path, _ in waiting[0]]
@@ -57,11 +56,11 @@ def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) 
         waiting[j] = []
         if not walkers:
             continue
-        key = id(lists[j]), min(spec.n2 - j, H)  # past H, a cut changes nothing
+        key = id(lists[j])
         if key not in tables:
             # The moves in reachable's order, by dj and then by band (dk, lo, hi), and
             # where each move's band applies (None: everywhere).
-            bands = sorted(_clipped_bands(spec, rule, j), key=lambda b: b[:3])
+            bands = sorted(lists[j], key=lambda b: b[:3])
             moves = sorted((dj, b, dk) for b, (dk, lo, hi, _) in enumerate(bands) for dj in range(lo, hi + 1))
             dj, band, dk = np.array(moves, dtype=np.int64).reshape(-1, 3).T
             masks = None if all(m is None for *_, m in bands) else np.array(

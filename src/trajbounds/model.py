@@ -60,15 +60,14 @@ class GridSpec:
     Vertices are the pairs ``(k, j)`` with ``|k| <= n1``, ``0 <= j <= n2`` and
     ``|k| <= p * j``.  ``lam`` lists the variation columns (indices ``j``) at
     which portfolios may liquidate; its last element must equal ``n2``.
-    The derived per-step caps are ``d = p * delta`` (log-price) and
-    ``c = q * beta**2`` (variation); they are never stored independently.
+    ``p`` shapes the grid's cone only: the moves, and so their caps on
+    ``|dk|`` and ``dj``, are the transition rule's.
     """
 
     s0: float
     delta: float
     beta: float
     p: int
-    q: int
     n1: int
     n2: int
     lam: tuple[int, ...]
@@ -79,7 +78,7 @@ class GridSpec:
             raise ValueError("s0 must be positive")
         if self.delta <= 0.0 or self.beta <= 0.0:
             raise ValueError("delta and beta must be positive")
-        for name in ("p", "q", "n1", "n2"):
+        for name in ("p", "n1", "n2"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
         if not self.lam:
@@ -101,14 +100,6 @@ class GridSpec:
                              f"s0={self.s0!r}, delta={self.delta!r}, n1={self.n1}")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
-
-    @property
-    def d(self) -> float:
-        return self.p * self.delta
-
-    @property
-    def c(self) -> float:
-        return self.q * self.beta ** 2
 
     @property
     def width(self) -> int:
@@ -134,10 +125,9 @@ def spec_for_rule(
     n2: int,
     lam: Sequence[int] | None = None,
 ) -> GridSpec:
-    """GridSpec whose (p, q) caps match the rule's admissible moves."""
+    """GridSpec whose cone ``|k| <= p * j`` has the rule's largest ``|dk|`` as ``p``."""
     lam_t = tuple(lam) if lam is not None else (n2,)
-    return GridSpec(s0=s0, delta=delta, beta=beta, p=rule.p, q=rule.max_dj,
-                    n1=n1, n2=n2, lam=lam_t)
+    return GridSpec(s0=s0, delta=delta, beta=beta, p=rule.p, n1=n1, n2=n2, lam=lam_t)
 
 
 def spec_from_total_variance(
@@ -389,38 +379,44 @@ def classify_node(spec: GridSpec, rule: TransitionRule, v: Vertex) -> NodeClass:
     k, j = v
     if j >= spec.n2:
         raise ValueError("terminal column vertices have no classification")
-    has_up = has_dn = has_flat = False
-    for kk, _ in reachable(spec, rule, v):
-        if kk > k:
-            has_up = True
-        elif kk < k:
-            has_dn = True
-        else:
-            has_flat = True
-    return _class_from_flags(has_up, has_dn, has_flat)
+    signs = {(kk > k) - (kk < k) for kk, _ in reachable(spec, rule, v)}
+    return _CLASSES[_class_codes(1 in signs, -1 in signs, 0 in signs)]
 
 
-def _class_from_flags(up: bool, dn: bool, flat: bool) -> NodeClass:
-    if up and dn:
-        return NodeClass.UP_DOWN
-    if up and flat:
-        return NodeClass.POSITIVE_ARBITRAGE
-    if dn and flat:
-        return NodeClass.NEGATIVE_ARBITRAGE
-    if flat:
-        return NodeClass.FLAT
-    return NodeClass.NOT_ZERO_NEUTRAL
+# Class codes index NodeClass's declaration order.
+_CLASSES = tuple(NodeClass)
+_UP_DOWN, _FLAT, _POS_ARB, _NEG_ARB, _NZN = range(len(_CLASSES))
+
+
+def _class_codes(up, dn, flat):
+    """Class code of each vertex from whether it has an up, a down and a flat move
+    (bools, or boolean rows elementwise): the first of these that holds."""
+    return np.select([up & dn, up & flat, dn & flat, flat], [_UP_DOWN, _POS_ARB, _NEG_ARB, _FLAT], _NZN)
 
 
 # --------------------------------------------------------------------------- #
 # Vectorized column machinery (shared with the engine sweep)
 # --------------------------------------------------------------------------- #
 
-def _clipped_bands(spec: GridSpec, rule: TransitionRule, j: int) -> list[MaskedBand]:
-    """``rule.column_bands`` with each dj window cut at the last column; empty ones dropped."""
-    top = spec.n2 - j
-    return [(dk, lo, min(hi, top), mask) for dk, lo, hi, mask in rule.column_bands(spec, j)
-            if lo <= min(hi, top)]
+def column_moves(spec: GridSpec, rule: TransitionRule) -> list[list[MaskedBand]]:
+    """``rule.column_bands(spec, j)`` of each column j < n2, each dj window cut at the last
+    column (``hi <= n2 - j``) and empty bands dropped.  Columns with one band list share
+    one cut list while their cut is the same (past the largest ``hi``, a cut changes
+    nothing), so callers may key on its ``id``; they must not mutate it."""
+    n2 = spec.n2
+    if type(rule).column_bands is TransitionRule.column_bands:  # bands() serve every column
+        lists = [rule.column_bands(spec, 0)] * n2
+    else:
+        lists = [rule.column_bands(spec, j) for j in range(n2)]
+    H = max((hi for bands in {id(b): b for b in lists}.values() for _, _, hi, _ in bands), default=0)
+    cut, moves = {}, []  # keyed by the id of a list in ``lists``, which keeps it alive
+    for top, bands in zip(range(n2, 0, -1), lists):
+        key = id(bands), top if top < H else H
+        got = cut.get(key)
+        if got is None:
+            got = cut[key] = [(dk, lo, min(hi, top), mask) for dk, lo, hi, mask in bands if lo <= hi and lo <= top]
+        moves.append(got)
+    return moves
 
 
 def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
@@ -429,18 +425,17 @@ def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     Each band of a source column adds its row, shifted by dk, to a difference
     array over j at the first column of its dj window and subtracts it one past
     the last, so a running sum counts the moves landing on each later vertex.
-    Its rows carry ``pad`` zero columns on each side, where moves off the grid land.
+    Its rows carry ``rule.p`` zero columns on each side, where moves off the grid land.
     """
-    n1, n2, w = spec.n1, spec.n2, spec.width
-    pad = max(spec.p, rule.p)
+    n1, n2, w, pad = spec.n1, spec.n2, spec.width, rule.p
     ks = np.arange(-n1, n1 + 1)
     reach = np.zeros((n2 + 1, w), dtype=bool)
     reach[0, n1] = True
     diff = np.zeros((n2 + 2, w + 2 * pad), dtype=np.int32)
     hits = np.zeros(w, dtype=np.int32)
-    for j in range(n2):
+    for j, moves in enumerate(column_moves(spec, rule)):
         if reach[j].any():
-            for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
+            for dk, lo, hi, mask in moves:
                 src = reach[j] if mask is None else (reach[j] & mask)
                 diff[j + lo, pad + dk: pad + dk + w] += src
                 diff[j + hi + 1, pad + dk: pad + dk + w] -= src
@@ -449,8 +444,8 @@ def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     return reach
 
 
-def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(has_up, has_dn, has_flat) boolean rows for column j < n2.
+def _successor_flags(spec: GridSpec, j: int, moves: list[MaskedBand]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(has_up, has_dn, has_flat) boolean rows for column j < n2 and its cut list ``moves``.
 
     A move along band (dk, lo, hi) exists at k iff k + dk lies in the cone of
     column j + hi: the cone widens with j, so the window's last column decides.
@@ -458,7 +453,7 @@ def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.n
     ks = np.arange(-spec.n1, spec.n1 + 1)
     # One flag row per sign of dk: index 1 up, -1 down, 0 flat.
     flags = np.zeros((3, spec.width), dtype=bool)
-    for dk, lo, hi, mask in _clipped_bands(spec, rule, j):
+    for dk, lo, hi, mask in moves:
         ok = np.abs(ks + dk) <= spec.column_half_width(j + hi)
         flags[(dk > 0) - (dk < 0)] |= ok if mask is None else (ok & mask)
     return flags[1], flags[-1], flags[0]
@@ -467,11 +462,6 @@ def _successor_flags(spec: GridSpec, rule: TransitionRule, j: int) -> tuple[np.n
 # --------------------------------------------------------------------------- #
 # Validation
 # --------------------------------------------------------------------------- #
-
-# ``ValidationReport.codes`` holds indices into NodeClass's declaration order.
-_CLASSES = tuple(NodeClass)
-_UP_DOWN, _FLAT, _POS_ARB, _NEG_ARB, _NZN = range(len(_CLASSES))
-
 
 @dataclass
 class ValidationReport:
@@ -536,13 +526,13 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
     """
     reach = reachable_masks(spec, rule)
     codes = np.full(reach.shape, -1, dtype=np.int8)
-    for j in range(spec.n2):
+    for j, moves in enumerate(column_moves(spec, rule)):
         if not reach[j].any():
             continue
-        up, dn, fl = _successor_flags(spec, rule, j)
-        # Same priority as _class_from_flags; no move on a liquidation column is a stop.
-        cls = np.select([up & dn, up & fl, dn & fl, fl, ~(up | dn) & (j in spec.lam)],
-                        [_UP_DOWN, _POS_ARB, _NEG_ARB, _FLAT, -1], _NZN)
+        up, dn, fl = _successor_flags(spec, j, moves)
+        cls = _class_codes(up, dn, fl)
+        if j in spec.lam:
+            cls[~(up | dn | fl)] = -1  # no move on a liquidation column: a stop
         codes[j] = np.where(reach[j], cls, -1)
     tally = np.bincount(codes[codes >= 0], minlength=len(_CLASSES))
     return ValidationReport(

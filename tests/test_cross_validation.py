@@ -11,6 +11,7 @@ import trajbounds as tb
 from trajbounds.engine import compute_bounds, inject_arbitrage
 from trajbounds.grid import build_grid
 from trajbounds.oracle import InstanceTooLargeError, brute_force_upper, generic_bounds
+from test_grid import Negated
 
 PAYOFFS = (tb.Payoff.call(1.0), tb.Payoff.put(1.0), tb.Payoff.butterfly(1.0, 1.1),
            tb.Payoff.call(0.95), tb.Payoff.put(1.08))
@@ -57,7 +58,7 @@ def test_engine_sweeps_match_oracle_on_random_instances():
         z = PAYOFFS[int(rng.integers(0, len(PAYOFFS)))]
         try:
             bf_up = brute_force_upper(spec, rule, z)
-            bf_lo = -brute_force_upper(spec, rule, z.negated())
+            bf_lo = -brute_force_upper(spec, rule, Negated(z))
         except InstanceTooLargeError:
             continue
         grid = build_grid(spec)

