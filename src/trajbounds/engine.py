@@ -4,15 +4,16 @@ The upper bound at a non-terminal vertex is the highest intersection with the
 vertical line ``x = s_k`` over all chords joining one successor with price
 above ``s_k`` to one at or below it.  Each move scales the price by a factor
 that does not depend on the vertex, so one vectorized pair-combine takes that
-step for whole grid columns and band-lattice periods (the per-vertex hull
-step that checks it is in ``oracle``).  The hedge slope is the support slope
-of that value nearest zero, so it superhedges every successor.  Upper and
-lower bounds come from one batched sweep over each column's live cone of the
-stacked rows ``[Z, -Z]``, which builds what a band list reads (windows, nested
-where they share their last row, and pair weights) once per sweep as a plan:
-``compute_bounds`` keeps full surfaces, ``price_all`` only the roots of many
-``(s0, payoff[, lam])`` points, as lanes that each stop on their own liquidation
-columns, and ``hedge.path_hedges`` path slopes.
+step for whole grid columns and band-lattice periods, all (up, down) pairs in
+one broadcast (the per-vertex hull step that checks it is in ``oracle``).  The
+hedge slope is the support slope of that value nearest zero, so it superhedges
+every successor.  Upper and lower bounds come from one batched sweep over each
+column's live cone of the stacked rows ``[Z, -Z]``, which builds what a band
+list reads (windows, nested where they share their last row, and pair weights)
+once per sweep as a plan, and holds O((``max_dj`` + ups·downs) · width · lanes)
+floats per column: ``compute_bounds`` keeps full surfaces, ``price_all`` only
+the roots of many ``(s0, payoff[, lam])`` points, as lanes that each stop on
+their own liquidation columns, and ``hedge.path_hedges`` path slopes.
 """
 
 from __future__ import annotations
@@ -65,42 +66,39 @@ def _terminal_rows(payoff, prices: list, k0: int) -> np.ndarray:
     return np.stack([row, -row])
 
 
-def _pair_weights(dks, em1: dict) -> tuple[list, list]:
-    """Down-moves b of ``dks``; per up-move a, its weights on a and each b, and rows to mask."""
-    downs, ups = [d for d in dks if em1[d] <= 0], []
-    for a in (d for d in dks if em1[d] >= 0 and downs):
-        ea = em1[a]
-        # Pair weights in Python floats: one IEEE division each.
-        w = np.array([(-em1[b] / (ea - em1[b]), ea / (ea - em1[b])) if b < a else (0.0, 0.0) for b in downs])
-        ups.append((a, w[:, :1, None], w[:, 1:, None],
-                    [(r, b) for r, b in enumerate(downs) if b >= a or 0.0 in (ea, em1[b])]))
-    return downs, ups
+def _pair_weights(dks, em1: dict) -> tuple:
+    """Up-moves a and down-moves b of ``dks``, in order, the pairs' ``(ups, downs, 1, 1)``
+    weights on a and on b, and the pairs ``(i, r, a, b)`` of ``ups[i]``, ``downs[r]`` to mask."""
+    downs = [d for d in dks if em1[d] <= 0]
+    ups = [a for a in dks if em1[a] >= 0 and downs]
+    # Pair weights in Python floats: one IEEE division each.
+    w = np.array([[(-em1[b] / (em1[a] - em1[b]), em1[a] / (em1[a] - em1[b])) if b < a else (0.0, 0.0)
+                   for b in downs] for a in ups]).reshape(len(ups), len(downs), 2, 1, 1)
+    masked = [(i, r, a, b) for i, a in enumerate(ups) for r, b in enumerate(downs)
+              if b >= a or 0.0 in (em1[a], em1[b])]
+    return ups, downs, w[:, :, 0], w[:, :, 1], masked
 
 
-def _pair_combine(C: np.ndarray, ys: dict, em1: dict, on: dict, pairs: tuple | None = None) -> None:
-    """Raise ``C`` in place to the best chord value over all pairs of moves.
+def _pair_combine(ys: dict, em1: dict, on: dict, pairs: tuple | None = None) -> np.ndarray:
+    """The best chord value over all pairs of moves, floored at the sentinel.
 
     ``ys``, ``em1`` and ``on`` map each move to its successor values, its relative price
-    change and where it applies (True: everywhere); ``pairs`` is their :func:`_pair_weights`.
-    The down-moves are stacked once; each up-move a meets all of them in preallocated
-    ``(downs, lanes, width)`` buffers and one max, in ``ys`` order (``np.maximum`` keeps a
-    zero's sign by position); b >= a is no pair, so its row is ``C``'s floor, the sentinel."""
-    downs, ups = pairs or _pair_weights(ys, em1)
-    if not ups:
-        return
-    Y = np.array([ys[b] for b in downs])
-    v, t, m = np.empty_like(Y), np.empty_like(Y), np.empty_like(C)
-    for a, wa, wb, masked in ups:
-        np.multiply(Y, wb, out=v)
-        v += np.multiply(wa, ys[a], out=t)
-        for row, b in masked:
-            if b >= a:
-                v[row] = -_BIG
-            # A flat move's pair carries a zero weight, whose product with
-            # the sentinel is a signed zero: count it only where both apply.
-            elif (both := on[a] & on[b]) is not True:
-                v[row][..., ~both] = -_BIG
-        np.maximum(C, np.maximum.reduce(v, out=m), out=C)
+    change and where it applies (True: everywhere); ``pairs`` is their :func:`_pair_weights`,
+    with at least one up-move.  All pairs meet in one ``(ups, downs, lanes, width)`` broadcast
+    and one max over its pairs flattened in (up, down) order (``np.maximum`` keeps a zero's
+    sign by position); b >= a is no pair, so its row is the sentinel."""
+    ups, downs, wa, wb, masked = pairs or _pair_weights(tuple(ys), em1)
+    v = wb * np.array([ys[b] for b in downs])
+    v += wa * np.array([ys[a] for a in ups])[:, None]
+    for i, r, a, b in masked:
+        if b >= a:
+            v[i, r] = -_BIG
+        # A flat move's pair carries a zero weight, whose product with
+        # the sentinel is a signed zero: count it only where both apply.
+        elif (both := on[a] & on[b]) is not True:
+            v[i, r][..., ~both] = -_BIG
+    m = np.maximum.reduce(v.reshape(-1, *v.shape[2:]))
+    return np.maximum(m, -_BIG, out=m)
 
 
 def _sweep_plan(bands: list, D: int, max_dj: int, em1: dict, weights: dict) -> tuple:
@@ -127,15 +125,16 @@ def _window_maxima(rows: np.ndarray, wins: list) -> dict:
     return win
 
 
-def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[int], stops: dict | None = None):
+def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, stops: dict | None = None):
     """Vectorized descending-j sweep of the stacked terminal rows ``Z`` (lanes, W).
 
-    Column j has vertices only on its live cone, rows ``n1-live[j] .. n1+live[j]``,
-    and ``live`` must keep each live vertex's successors live or off the grid.
+    Column j has vertices only on its live cone, rows ``n1-live[j] .. n1+live[j]``:
+    with ``reach``, the :func:`_live_cone` the root reaches, else the whole grid column.
     Yields ``(j, cone, V, ys, C, stop)`` for j = n2-1 .. 0 on the row slice ``cone``:
     the live cone widened to a multiple of 16 rows, as numpy keeps freed blocks
     under 1 KiB per size.  ``V`` are values, ``ys`` window maxima per dk, ``C`` the
-    continuation (at most ``_INVALID`` where none exists, NaN off the live cone),
+    continuation (at least the sentinel, exactly it where no pair of moves exists,
+    at most ``_INVALID`` where none is finite, NaN off the live cone),
     ``stop`` a liquidation column's stop mask (else None).  ``stops`` maps each
     liquidation column to the lanes that may stop there, a (lanes, 1) mask or True
     for all (by default every lane stops on ``spec.lam``).  Only the next
@@ -143,10 +142,10 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and
     the D-1 rows still needed move up once every D columns.  Columns with the same
     cut list of :func:`column_moves` share one :func:`_sweep_plan`: its bands,
-    checked in band order, its windows, read nested by :func:`_window_maxima`,
-    and its pair weights for :func:`_pair_combine`.  A vertex is left NaN
-    where it has no finite local optimum: it is not 0-neutral, it has no move and
-    sits off every liquidation column, or one of its successors is NaN.
+    checked in band order, its windows, read nested by :func:`_window_maxima`, and its pair
+    weights for :func:`_pair_combine`: O((``max_dj`` + ups·downs) · width · lanes) floats.
+    A vertex is left NaN where it has no finite local optimum: it is not 0-neutral,
+    it has no move and sits off every liquidation column, or one of its successors is NaN.
     """
     spec = grid.spec
     n1, n2 = spec.n1, spec.n2
@@ -154,6 +153,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
     pmax, D = rule.p, min(rule.max_dj, n2)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
     moves, plans, weights = column_moves(spec, rule), {}, {}
+    live = _live_cone(moves, grid.half_widths.tolist()) if reach else grid.half_widths.tolist()
 
     # Off-cone entries hold the sentinel, so window maxima ignore them, as do
     # the pmax padding columns that make each dk shift a slice.  NaN (unpriced,
@@ -182,8 +182,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
                 ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
             else:
                 ys[dk], on[dk] = y, mask
-        C = np.full((len(Z), 2 * s + 1), -_BIG)
-        _pair_combine(C, ys, em1, on, pairs)
+        C = _pair_combine(ys, em1, on, pairs) if pairs[0] else np.full((len(Z), 2 * s + 1), -_BIG)
         if 0 in ys:
             # Flat moves only: the degenerate hull takes the best flat value.
             C = np.where(C <= _INVALID, ys[0], C)
@@ -215,7 +214,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, live: list[in
 def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
     """Full (lanes, n2+1, W) value, slope and provenance surfaces of :func:`_sweep_banded`."""
     U, S, P = _terminal_surfaces(grid, Z)
-    for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, grid.half_widths.tolist()):
+    for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, reach=False):
         Pj = np.where(C > _INVALID, np.int8(PROV_CONTINUATION), np.int8(0))
         U[:, j, col] = V
         S[:, j, col] = _support_slopes(C, ys, grid.prices[col], grid.spec.delta, stop)
@@ -276,14 +275,14 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     return _bounds_from(grid, rule, payoff, _banded_surfaces)
 
 
-def _live_cone(grid: Grid, rule: TransitionRule) -> list[int]:
-    """Half-width of each column's cone reachable from the root: each move has |dk| <= a/b * dj,
-    a/b the largest |dk|/lo of any band (the sweep rejects lo < 1; floats order such
-    ratios exactly), so reachable |k| <= a*j // b."""
-    lists = {id(bands): bands for bands in column_moves(grid.spec, rule)}.values()
+def _live_cone(moves: list, half_widths: list[int]) -> list[int]:
+    """Half-width of each column's cone reachable from the root, by the cut band table ``moves``:
+    each move has |dk| <= a/b * dj, a/b the largest |dk|/lo of any band (the sweep rejects
+    lo < 1; floats order such ratios exactly), so reachable |k| <= a*j // b."""
+    lists = {id(bands): bands for bands in moves}.values()
     a, b = max({(abs(dk), max(lo, 1)) for bands in lists for dk, lo, _, _ in bands},
                key=lambda r: r[0] / r[1], default=(0, 1))
-    return [min(w, a * j // b) for j, w in enumerate(grid.half_widths.tolist())]
+    return [min(w, a * j // b) for j, w in enumerate(half_widths)]
 
 
 def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float, float]]:
@@ -303,7 +302,7 @@ def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float,
     lanes = {j: np.repeat([j in s.lam for s in specs], 2)[:, None] for j in {j for s in specs for j in s.lam}}
     stops = {j: True if on.all() else on for j, on in lanes.items()}
     grid = grids[specs[0].s0]
-    for _, _, V, *_ in _sweep_banded(grid, rule, Z, _live_cone(grid, rule), stops):
+    for _, _, V, *_ in _sweep_banded(grid, rule, Z, reach=True, stops=stops):
         pass
     roots = V[:, 0].tolist()
     roots = _priced(specs[next((i // 2 for i, r in enumerate(roots) if r != r), 0)], rule, roots)
@@ -341,10 +340,11 @@ def band_bounds(rule: BinomialBandRule, steps: int, s0: float, payoff) -> tuple[
     V = _terminal_rows(payoff, (s0 * rule.d ** steps * rho ** np.arange(steps * (L - 1) + 1)).tolist(), 0)
     em1 = {t: rule.d * rho ** t - 1.0 for t in range(L)}
     on, pairs = dict.fromkeys(em1, True), _pair_weights(list(em1), em1)
+    if not pairs[0]:
+        raise NotZeroNeutralError()
     for i in range(steps - 1, -1, -1):
         n = i * (L - 1) + 1
-        C = np.full((2, n), -_BIG)
-        _pair_combine(C, {t: V[:, t: t + n] for t in em1}, em1, on, pairs)
+        C = _pair_combine({t: V[:, t: t + n] for t in em1}, em1, on, pairs)
         if not (C > _INVALID).all():
             raise NotZeroNeutralError()
         V = C

@@ -339,8 +339,8 @@ class TestCommands:
         # Spots, payoffs and liquidation columns on one grid shape are lanes of one sweep.
         sweep = engine._sweep_banded
         calls = []
-        monkeypatch.setattr(engine, "_sweep_banded", lambda grid, rule, Z, live, stops=None:
-                            calls.append(len(Z)) or sweep(grid, rule, Z, live, stops))
+        monkeypatch.setattr(engine, "_sweep_banded", lambda grid, rule, Z, reach, stops=None:
+                            calls.append(len(Z)) or sweep(grid, rule, Z, reach, stops))
         assert main([command, "--config", write_cfg(tmp_path / "a.cfg", text),
                      "--out", str(tmp_path)]) == 0
         rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()[1:]

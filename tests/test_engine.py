@@ -17,6 +17,7 @@ from trajbounds.model import (
     NotZeroNeutralError,
     TransitionRule,
     bjn_rule,
+    column_moves,
     reachable,
     reachable_masks,
     spec_for_rule,
@@ -630,19 +631,26 @@ def pair_combine_by_pairs(C, ys, em1, on):
 
 
 class TestPairCombine:
-    @pytest.mark.parametrize("keys", [(0, -1, 1), (-2, -1, 0, 1, 2), (2, -1, 0, -2, 1), (-3, 3, -1, 2, 1)])
+    MA8 = tuple(dict.fromkeys(dk for dk, _, _ in MARule(8).bands()))  # 8 x 8 = 64 pairs
+
+    @pytest.mark.parametrize("keys", [(0, -1, 1), (-2, -1, 0, 1, 2), (2, -1, 0, -2, 1), (-3, 3, -1, 2, 1),
+                                      (2, -5), MA8, MA8 + (0,)])
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_equals_pair_loop_bitwise(self, keys, seed):
-        # Zero signs, NaN and sentinels drawn often, so ties and their order count.
+        # Zero signs, NaN and sentinels drawn often, so ties and their order
+        # count, and so do pairs of sentinels, which round to either side of
+        # the sentinel: (2, -5)'s round below it.  Even moves apply only where
+        # ``on`` is set, so a flat move's pair with an even move is masked on
+        # both sides.
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, -0.0, math.nan, -1e300, 0.25, -0.5, 1.0])
-        ys = {d: rng.choice(pool, size=(3, 17)) for d in keys}
         em1 = {d: math.expm1(0.05 * d) for d in keys}
-        on = {d: True if d % 2 else rng.random(17) < 0.5 for d in keys}
-        got, want = np.full((3, 17), -1e300), np.full((3, 17), -1e300)
-        engine._pair_combine(got, ys, em1, on)
-        pair_combine_by_pairs(want, ys, em1, on)
-        assert got.tobytes() == want.tobytes()
+        for shape in ((3, 17), (6, 5)):  # (lanes, width)
+            ys = {d: rng.choice(pool, size=shape) for d in keys}
+            on = {d: True if d % 2 else rng.random(shape[1]) < 0.5 for d in keys}
+            want = np.full(shape, -1e300)
+            pair_combine_by_pairs(want, ys, em1, on)
+            assert engine._pair_combine(ys, em1, on).tobytes() == want.tobytes(), shape
 
 
 class TestWindowMaxima:
@@ -698,6 +706,17 @@ class UpOnlyRule(ZeroLagRule):
         return ((1, 1, 1),)
 
 
+class OffGridPairRule(ZeroLagRule):
+    """Test-only rule whose two moves both leave a grid with n1 = 2 from its
+    top rows; at step 0.05 their chord of two sentinels rounds below the sentinel."""
+
+    kind = "OFFGRIDPAIR"
+    p = 5
+
+    def bands(self):
+        return ((-5, 1, 1), (2, 1, 1))
+
+
 class LateBandRule(ZeroLagRule):
     """Test-only rule whose second and third bands reach past ``max_dj``."""
 
@@ -737,21 +756,54 @@ class TestBandErrors:
             assert type(got.value) is ValueError and str(got.value) == text
 
 
+class TestYieldedContinuation:
+    """Each ``C`` the sweep yields is NaN or at least the sentinel -1e300, and
+    exactly the sentinel where no pair of moves exists (or, with a flat move,
+    that move's value)."""
+
+    @pytest.mark.parametrize("rule", [FlatTailRule(), UpOnlyRule(), inject_arbitrage(MARule(3), 0.1, 1),
+                                      OffGridPairRule()],
+                             ids=["flat_tail", "up_only", "injected_ma3", "off_grid_pair"])
+    @pytest.mark.parametrize("n1, n2, lam", [(10, 10, (4, 10)), (2, 10, None)], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("reach", [False, True], ids=["grid", "live_cone"])
+    def test_continuation_floored_at_sentinel(self, rule, n1, n2, lam, reach):
+        spec = unit_spec(rule, n1, n2, lam=lam)
+        grid = build_grid(spec)
+        moves = column_moves(spec, rule)
+        Z = engine._terminal_rows(PUT, grid.prices.tolist(), -n1)
+        for j, cone, _, ys, C, _ in engine._sweep_banded(grid, rule, Z, reach=reach):
+            on = {}  # where some band of each dk applies
+            for dk, _, _, mask in moves[j]:
+                m = True if mask is None else mask[cone]
+                on[dk] = on[dk] | m if dk in on else m
+            paired = np.zeros(C.shape[1], dtype=bool)
+            for a in (d for d in ys if d >= 0):
+                for b in (d for d in ys if d <= 0 and d < a):
+                    paired |= on[a] & on[b] if 0 in (a, b) else True
+            assert (np.isnan(C) | (C >= -1e300)).all(), j
+            lone = C[:, ~paired]
+            want = ys[0][:, ~paired] if 0 in ys else np.full_like(lone, -1e300)
+            assert (np.isnan(lone) | (lone == want)).all(), j
+
+
 class TestLiveCone:
     """``price_all`` sweeps column j only where ``|k| <= live[j]``; every
     vertex reachable from the root must lie inside that cone."""
 
     @staticmethod
     def swept_widths(monkeypatch, spec, rule, points):
-        """The ``live`` widths that ``price_all`` hands to the sweep."""
-        sweep, seen = engine._sweep_banded, []
-        monkeypatch.setattr(engine, "_sweep_banded", lambda grid, rule, Z, live, stops=None:
-                            seen.append(live) or sweep(grid, rule, Z, live, stops))
+        """The ``live`` widths that ``price_all``'s sweep computes and sweeps."""
+        cone, seen = engine._live_cone, []
+        monkeypatch.setattr(engine, "_live_cone", lambda moves, widths:
+                            seen.append(cone(moves, widths)) or seen[-1])
+        table, built = engine.column_moves, []
+        monkeypatch.setattr(engine, "column_moves", lambda spec, rule: built.append(1) or table(spec, rule))
         try:
             price_all(spec, rule, points)
         except ModelValidationError:
             pass
         (live,) = seen
+        assert len(built) == 1  # one cut band table per sweep
         return np.array(live)
 
     def test_reachable_vertices_inside_live_widths(self, monkeypatch):

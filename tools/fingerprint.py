@@ -46,7 +46,10 @@ liquidation columns (20, 40).  A last line hashes the exit code, error text,
 CSV and SVG of ``hedge-sim --svg`` at the shape of perfbench's ``hedge``
 workload (MA p = 3, N2 = N1 = 200, Lambda = (100, 200), 500 paths), where the
 live cone is narrower than the grid and Lambda has an inner column, with a
-fixed seed and strike.  To check that
+fixed seed and strike.  A ``band_bounds`` line hashes
+``engine.band_bounds`` of the call, the put and the butterfly on
+``BinomialBandRule(1.1, 0.9)`` with 2-5 levels over 1-20 steps, and its
+``NotZeroNeutralError`` when rounding leaves no up-move.  To check that
 a refactor leaves every result
 bitwise equal, run the script on both trees and compare::
 
@@ -80,7 +83,7 @@ import numpy as np  # noqa: E402
 from trajbounds import cli, engine, hedge, oracle  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
-    MARule, MBRule, ModifiedRule, classify_node, reachable, reachable_masks, spec_for_rule,
+    BinomialBandRule, MARule, MBRule, ModifiedRule, classify_node, reachable, reachable_masks, spec_for_rule,
     spec_from_total_variance, validate_model)
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
 
@@ -267,6 +270,15 @@ def main() -> None:
             if b is not None:
                 h.add(b.upper, b.lower, b.slope_up, b.slope_dn, b.prov)
         print(f"plans {name} {h.h.hexdigest()}")
+
+    h = Hasher()
+    for levels in range(2, 6):
+        for steps in range(1, 21):
+            for z in (Payoff.call(1.0), Payoff.put(1.0), Payoff.butterfly(0.95, 1.05)):
+                h.add(levels, steps, h.call(engine.band_bounds, BinomialBandRule(1.1, 0.9, levels), steps, 1.0, z))
+    h.add(h.call(engine.band_bounds, BinomialBandRule(float(np.nextafter(1.0, 2.0)), 0.5, 5), 2, 1.0,
+                 Payoff.call(1.0)))  # no up-move: NotZeroNeutralError
+    print(f"band_bounds {h.h.hexdigest()}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, rule in rules():
