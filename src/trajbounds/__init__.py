@@ -22,22 +22,10 @@ from .model import (
 )
 from .grid import BoundsGrid, Grid, Payoff, build_grid, payoff_eval
 from .engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all
-from .oracle import (
-    HullPoint,
-    LocalSolution,
-    OracleReport,
-    black_scholes,
-    brute_force_upper,
-    convex_hull_step,
-    crr_binomial,
-    hull_fast,
-    merton_envelope,
-)
+from .oracle import black_scholes, merton_envelope
 from .hedge import (
     HedgeLedger,
     Trajectory,
-    count_trajectories,
-    enumerate_trajectories,
     extract_hedge,
     sample_trajectory,
     simulate_pnl,

@@ -25,7 +25,6 @@ from .model import (
     ModelValidationError,
     NodeClass,
     TransitionRule,
-    bjn_rule,
     spec_for_rule,
     validate_model,
 )

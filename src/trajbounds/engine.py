@@ -5,15 +5,16 @@ vertical line ``x = s_k`` over all chords joining one successor with price
 above ``s_k`` to one at or below it.  Each move scales the price by a factor
 that does not depend on the vertex, so one vectorized pair-combine takes that
 step for whole grid columns and band-lattice periods, all (up, down) pairs in
-one broadcast (the per-vertex hull step that checks it is in ``oracle``).  The
-hedge slope is the support slope of that value nearest zero, so it superhedges
-every successor.  Upper and lower bounds come from one batched sweep over each
-column's live cone of the stacked rows ``[Z, -Z]``, which builds what a band
-list reads (windows, nested where they share their last row, and pair weights)
-once per sweep as a plan, and holds O((``max_dj`` + ups·downs) · width · lanes)
-floats per column: ``compute_bounds`` keeps full surfaces, ``price_all`` only
-the roots of many ``(s0, payoff[, lam])`` points, as lanes that each stop on
-their own liquidation columns, and ``hedge.path_hedges`` path slopes.
+one broadcast (the per-vertex hull step that checks it is in the tests'
+``reference`` module).  The hedge slope is the support slope of that value
+nearest zero, so it superhedges every successor.  Upper and lower bounds come
+from one batched sweep over each column's live cone of the stacked rows
+``[Z, -Z]``, which builds what a band list reads (windows, nested where they
+share their last row, and pair weights) once per sweep as a plan, and holds
+O((``max_dj`` + ups·downs) · width · lanes) floats per column:
+``compute_bounds`` keeps full surfaces, ``price_all`` only the roots of many
+``(s0, payoff[, lam])`` points, as lanes that each stop on their own
+liquidation columns, and ``hedge.path_hedges`` path slopes.
 """
 
 from __future__ import annotations
@@ -211,17 +212,6 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
         buf[pos, :, c - w + pmax: c + w + pmax + 1] = V[:, s - w: s + w + 1]
 
 
-def _banded_surfaces(grid: Grid, rule: TransitionRule, Z: np.ndarray):
-    """Full (lanes, n2+1, W) value, slope and provenance surfaces of :func:`_sweep_banded`."""
-    U, S, P = _terminal_surfaces(grid, Z)
-    for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, reach=False):
-        Pj = np.where(C > _INVALID, np.int8(PROV_CONTINUATION), np.int8(0))
-        U[:, j, col] = V
-        S[:, j, col] = _support_slopes(C, ys, grid.prices[col], grid.spec.delta, stop)
-        P[:, j, col] = Pj if stop is None else np.where(stop, np.int8(PROV_Q_MAX), Pj)
-    return U, S, P
-
-
 def _support_slopes(C: np.ndarray, ys: dict, prices: np.ndarray, delta: float, stop) -> np.ndarray:
     """Hedge slope at each vertex of a column swept by :func:`_sweep_banded`: the support
     slope nearest zero of its continuation ``C`` over every dk's window maximum ``ys``,
@@ -247,15 +237,6 @@ def _priced(spec: GridSpec, rule: TransitionRule, roots: list) -> list:
     return roots
 
 
-def _bounds_from(grid: Grid, rule: TransitionRule, payoff, surfaces) -> BoundsGrid:
-    """:class:`BoundsGrid` of the stacked surfaces that ``surfaces(grid, rule, Z)``
-    sweeps from the terminal rows ``[Z, -Z]``, or the audit's error."""
-    U, slope, prov = surfaces(grid, rule, _terminal_rows(payoff, grid.prices.tolist(), -grid.spec.n1))
-    _priced(grid.spec, rule, U[:, 0, grid.spec.n1].tolist())
-    np.negative(U[1], out=U[1])
-    return BoundsGrid(grid, payoff, U[0], U[1], slope[0], slope[1], prov[0])
-
-
 def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     """Fill upper/lower bounds and hedge slopes over the whole grid.
 
@@ -272,7 +253,16 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     unpriced too; only then does the audit run, and its
     :class:`ModelValidationError` reports the vertices that are not 0-neutral.
     """
-    return _bounds_from(grid, rule, payoff, _banded_surfaces)
+    Z = _terminal_rows(payoff, grid.prices.tolist(), -grid.spec.n1)
+    U, S, P = _terminal_surfaces(grid, Z)
+    for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, reach=False):
+        Pj = np.where(C > _INVALID, np.int8(PROV_CONTINUATION), np.int8(0))
+        U[:, j, col] = V
+        S[:, j, col] = _support_slopes(C, ys, grid.prices[col], grid.spec.delta, stop)
+        P[:, j, col] = Pj if stop is None else np.where(stop, np.int8(PROV_Q_MAX), Pj)
+    _priced(grid.spec, rule, U[:, 0, grid.spec.n1].tolist())
+    np.negative(U[1], out=U[1])
+    return BoundsGrid(grid, payoff, U[0], U[1], S[0], S[1], P[0])
 
 
 def _live_cone(moves: list, half_widths: list[int]) -> list[int]:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import engine
 from .grid import BoundsGrid, Grid, payoff_eval
-from .model import TransitionRule, Vertex, column_moves, reachable
+from .model import TransitionRule, Vertex, column_moves
 
 SHORT = "SHORT"
 LONG = "LONG"
@@ -213,40 +213,3 @@ def hedged_finals(trajs: Sequence[Trajectory], slopes: np.ndarray, side: str,
         acc[:, 0] = x0
         row[:] = np.add.accumulate(acc, axis=1)[np.arange(len(trajs)), steps]
     return out
-
-
-# --------------------------------------------------------------------------- #
-# Exhaustive trajectory enumeration (small instances)
-# --------------------------------------------------------------------------- #
-
-def count_trajectories(rule: TransitionRule, grid: Grid) -> int:
-    """Number of complete trajectories, counting each admissible stop once."""
-    spec = grid.spec
-    lam = set(spec.lam)
-    # Column by column from the last: a vertex counts its own stop plus the
-    # trajectories of its successors.
-    counts: dict[Vertex, int] = {(k, spec.n2): 1 for k in grid.column_ks(spec.n2)}
-    for j in range(spec.n2 - 1, -1, -1):
-        for k in grid.column_ks(j):
-            counts[(k, j)] = (1 if j in lam else 0) + sum(
-                counts[w] for w in reachable(spec, rule, (k, j)))
-    return counts[(0, 0)]
-
-
-def enumerate_trajectories(rule: TransitionRule, grid: Grid) -> Iterator[Trajectory]:
-    """Yield every complete trajectory (stopped paths included), depth-first."""
-    spec = grid.spec
-    lam = set(spec.lam)
-    path: list[Vertex] = []
-    # stack[i] iterates the successors of path[i - 1]; stack[0] yields the root.
-    stack = [iter([(0, 0)])]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            del path[-1:]
-            continue
-        path.append(v)
-        if v[1] in lam:
-            yield Trajectory(tuple(path), tuple(grid.price(k) for k, _ in path))
-        stack.append(iter(reachable(spec, rule, v) if v[1] < spec.n2 else ()))

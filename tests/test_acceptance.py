@@ -25,7 +25,7 @@ from trajbounds.model import (
     spec_for_rule,
     spec_from_total_variance,
 )
-from trajbounds.oracle import brute_force_upper, convex_hull_step, crr_binomial, hull_fast
+from reference import brute_force_upper, convex_hull_step, crr_binomial, hull_fast
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)

@@ -10,8 +10,8 @@ import numpy as np
 import trajbounds as tb
 from trajbounds.engine import compute_bounds, inject_arbitrage
 from trajbounds.grid import build_grid
-from trajbounds.oracle import InstanceTooLargeError, brute_force_upper, generic_bounds
 from test_grid import Negated
+from reference import InstanceTooLargeError, brute_force_upper, generic_bounds
 
 PAYOFFS = (tb.Payoff.call(1.0), tb.Payoff.put(1.0), tb.Payoff.butterfly(1.0, 1.1),
            tb.Payoff.call(0.95), tb.Payoff.put(1.08))

@@ -7,8 +7,7 @@ import pytest
 
 from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all
 from trajbounds.grid import Payoff, build_grid
-from trajbounds.oracle import brute_force_upper, convex_hull_step, generic_bounds, hull_fast
-from trajbounds import engine, oracle
+from trajbounds import engine
 from trajbounds.model import (
     BinomialBandRule,
     MARule,
@@ -26,6 +25,7 @@ from trajbounds.model import (
 )
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule
 from test_grid import Negated
+from reference import brute_force_upper, convex_hull_step, generic_bounds, hull_fast
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)
@@ -956,7 +956,7 @@ def per_node_band_bounds(rule, steps, s0, payoff):
             for m in range(i * (L - 1) + 1):
                 s = at(i, m)
                 pts = [(at(i + 1, m + t), values[m + t]) for t in range(L)]
-                sol = oracle.hull_fast([q for q in pts if q[0] > s], [q for q in pts if q[0] <= s], s)
+                sol = hull_fast([q for q in pts if q[0] > s], [q for q in pts if q[0] <= s], s)
                 cur.append(sol.value)
             values = cur
         return values[0]

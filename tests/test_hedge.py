@@ -11,8 +11,6 @@ from trajbounds.hedge import (
     LONG,
     SHORT,
     Trajectory,
-    count_trajectories,
-    enumerate_trajectories,
     extract_hedge,
     ledger_finals,
     path_hedges,
@@ -29,6 +27,7 @@ from trajbounds.model import (
     spec_from_total_variance,
 )
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule
+from reference import count_trajectories, enumerate_trajectories
 
 V0 = 0.0067
 CALL = Payoff.call(1.0)

@@ -6,14 +6,8 @@ import pytest
 from trajbounds.engine import price
 from trajbounds.grid import Payoff
 from trajbounds.model import MARule, MBRule, bjn_rule, spec_for_rule, spec_from_total_variance
-from trajbounds.oracle import (
-    InstanceTooLargeError,
-    OracleReport,
-    black_scholes,
-    brute_force_upper,
-    crr_binomial,
-    merton_envelope,
-)
+from trajbounds.oracle import black_scholes, merton_envelope
+from reference import InstanceTooLargeError, OracleReport, brute_force_upper, crr_binomial
 from test_grid import Negated
 
 V0 = 0.0067

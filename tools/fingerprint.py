@@ -13,7 +13,7 @@ and, for that spec:
   class of every in-grid vertex (every fourth column when ``n2 > 9``);
 * for each payoff, the five ``BoundsGrid`` arrays by ``tobytes``, of
   ``engine.compute_bounds`` (labelled "banded") and, at ``n2 <= 9`` for three
-  of the payoffs, of the reference sweep ``oracle.generic_bounds``
+  of the payoffs, of the reference sweep ``reference.generic_bounds``
   (labelled "generic");
 * for each payoff, the ``price()`` interval and the bytes that
   ``BoundsGrid.to_csv`` writes for the banded bounds;
@@ -61,8 +61,9 @@ Each family line ends in the ``validate_model`` verdict of its spec: ``ok``,
 deliberate change to what an invalid model raises should then change only
 lines that end in ``invalid``.
 
-It imports the package from ``src/`` and the test-only rules from
-``tests/test_model.py`` of the checkout it lives in.
+It imports the package from ``src/``, and the test-only rules from
+``tests/test_model.py`` and the reference sweep from ``tests/reference.py``,
+of the checkout it lives in.
 """
 
 from __future__ import annotations
@@ -80,17 +81,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from trajbounds import cli, engine, hedge, oracle  # noqa: E402
+from trajbounds import cli, engine, hedge  # noqa: E402
 from trajbounds.grid import Payoff, build_grid  # noqa: E402
 from trajbounds.model import (  # noqa: E402
     BinomialBandRule, MARule, MBRule, ModifiedRule, classify_node, reachable, reachable_masks, spec_for_rule,
     spec_from_total_variance, validate_model)
 from test_model import DoubleStepRule, FlatTailRule, OverlapRule  # noqa: E402
+import reference  # noqa: E402
 
 STEP = 0.05
 N2S = (4, 9, 16, 25)
 GENERIC = ("put", "fly", "nan")  # payoffs that also run the generic sweep (n2 <= 9)
-SWEEPS = {"banded": engine.compute_bounds, "generic": oracle.generic_bounds}
+SWEEPS = {"banded": engine.compute_bounds, "generic": reference.generic_bounds}
 SEEDS = range(20)  # sampled trajectories per family
 N_PATHS = 20  # hedge-sim paths per family
 DEEP = ((MARule(8), 200), (MARule(1), 1200))  # perfbench deep's shapes, n1 = N2, v0 = 0.0067
