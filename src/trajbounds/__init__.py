@@ -1,5 +1,7 @@
 """Worst-case option price bounds and hedges on trajectory-set market models."""
 
+from types import ModuleType as _Module
+
 from .model import (
     Band,
     BinomialBandRule,
@@ -21,7 +23,7 @@ from .model import (
     validate_model,
 )
 from .grid import BoundsGrid, Grid, Payoff, build_grid, payoff_eval
-from .engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all
+from .engine import band_bounds, compute_bounds, inject_arbitrage, price, price_all, price_horizons
 from .oracle import black_scholes, merton_envelope
 from .hedge import (
     HedgeLedger,
@@ -31,4 +33,4 @@ from .hedge import (
     simulate_pnl,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _Module))]  # not submodules

@@ -309,14 +309,14 @@ def cmd_vol_scan(cfg: ExperimentConfig):
     d0 = math.sqrt(v0 / ref_steps)
     rule = build_rule(cfg) if "model" in cfg.values else MBRule(p_max=3, A=2)
     payoffs = [build_payoff(cfg, "call"), build_payoff(cfg, "butterfly")]
-    rows = []
-    for j in range(1, steps + 1):
-        n2 = unit * j
-        modes = {"single": (n2,), "cumulative": tuple(unit * r for r in range(1, j + 1))}
-        cases = [(mode, z, lam) for mode, lam in modes.items() for z in payoffs]  # lanes of one sweep
-        spec = spec_for_rule(rule, s0=s0, delta=d0, beta=d0, n1=n2, n2=n2)
-        bounds = engine.price_all(spec, rule, [(s0, z, lam) for _, z, lam in cases])
-        rows += ([j, n2 * d0 * d0, mode, z.kind, lo, hi] for (mode, z, _), (lo, hi) in zip(cases, bounds))
+    # Each j is read off the longest grid's sweep, on which cumulative columns past n2 - unit*j are j's own.
+    horizons = [unit * j for j in range(1, steps + 1)]
+    modes = {"single": horizons[-1:], "cumulative": horizons}
+    cases = [(mode, z, lam) for mode, lam in modes.items() for z in payoffs]  # lanes of one sweep
+    spec = spec_for_rule(rule, s0=s0, delta=d0, beta=d0, n1=horizons[-1], n2=horizons[-1])
+    bounds = engine.price_horizons(spec, rule, [(s0, z, lam) for _, z, lam in cases], horizons)
+    rows = [[j, n2 * d0 * d0, mode, z.kind, lo, hi] for j, (n2, row) in enumerate(zip(horizons, bounds), 1)
+            for (mode, z, _), (lo, hi) in zip(cases, row)]
     header = ["j", "v_j", "mode", "payoff", "lower", "upper"]
     chart = charts.ChartSpec(x="j", ys=("lower", "upper"), series=("mode", "payoff"),
                              title="bounds vs accumulated variation",

@@ -12,9 +12,10 @@ from one batched sweep over each column's live cone of the stacked rows
 ``[Z, -Z]``, which builds what a band list reads (windows, nested where they
 share their last row, and pair weights) once per sweep as a plan, and holds
 O((``max_dj`` + ups·downs) · width · lanes) floats per column:
-``compute_bounds`` keeps full surfaces, ``price_all`` only the roots of many
+``compute_bounds`` keeps full surfaces, ``price_horizons`` only the roots of many
 ``(s0, payoff[, lam])`` points, as lanes that each stop on their own
-liquidation columns, and ``hedge.path_hedges`` path slopes.
+liquidation columns, read at the root of each horizon's sub-model (``price_all``:
+the one horizon n2), and ``hedge.path_hedges`` path slopes.
 """
 
 from __future__ import annotations
@@ -275,28 +276,54 @@ def _live_cone(moves: list, half_widths: list[int]) -> list[int]:
     return [min(w, a * j // b) for j, w in enumerate(half_widths)]
 
 
-def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float, float]]:
-    """(lower, upper) worst-case price interval at the root vertex (0, 0) for each
-    point ``(s0, payoff)`` or ``(s0, payoff, lam)`` of ``points``, priced on ``spec``
-    with that ``s0`` and ``lam`` (by default ``spec.lam``).
+def price_horizons(spec: GridSpec, rule: TransitionRule, points, horizons) -> list[list[tuple[float, float]]]:
+    """For each horizon h of ``horizons``, :func:`price_all` of ``points`` on the horizon-h
+    spec: ``spec`` with ``n2 = h``, ``n1 = min(spec.n1, p * h)`` and each point's ``lam``,
+    given on ``spec``'s columns, cut to its columns past ``n2 - h`` and moved down by ``n2 - h``.
 
-    The sweep never reads ``s0``, and ``lam`` only where a lane may stop, so each
-    point's terminal rows ``[Z, -Z]`` are two lanes of one banded pass over the
-    reachable cone, each stopping on its own liquidation columns, equal to a
-    one-point pass bitwise; an unpriced root raises the audit's error for the
-    first unpriced point.
+    The sweep never reads ``s0``, and ``lam`` only where a lane may stop, so each point's
+    terminal rows ``[Z, -Z]`` are two lanes of one banded pass over the reachable cone, each
+    stopping on its own liquidation columns.  Where every column has the same bands, the
+    value that pass leaves at vertex (0, n2 - h), before any stop there, is the price of the
+    horizon-h model rooted there, bitwise, unless the horizon grid clips the live cone
+    (``ValueError``).  An unpriced root raises the audit's error for the first unpriced
+    point at the first such horizon, in the order given.
     """
+    n2 = spec.n2
+    if not all(1 <= h <= n2 for h in horizons):
+        raise ValueError(f"horizons must lie in 1..n2={n2}, got {list(horizons)}")
+    if min(horizons) < n2:
+        if type(rule).column_bands is not TransitionRule.column_bands:
+            raise ValueError(f"horizons below n2={n2} need a rule whose bands serve every column")
+        reach = _live_cone(column_moves(spec, rule)[:1], [math.inf] * n2)  # column 0 has every band
+        if clipped := [h for h in horizons if h < n2 and reach[h] > min(spec.n1, spec.p * h)]:
+            raise ValueError(f"horizon {clipped[0]}'s grid clips its live cone |k| <= {reach[clipped[0]]}")
     specs = [dataclasses.replace(spec, s0=s0, lam=lam[0] if lam else spec.lam) for s0, _, *lam in points]
     grids = {s0: build_grid(s) for s0, s in {s.s0: s for s in reversed(specs)}.items()}  # of each s0's first point
     Z = np.concatenate([_terminal_rows(p[1], grids[s.s0].prices.tolist(), -spec.n1) for s, p in zip(specs, points)])
     lanes = {j: np.repeat([j in s.lam for s in specs], 2)[:, None] for j in {j for s in specs for j in s.lam}}
     stops = {j: True if on.all() else on for j, on in lanes.items()}
-    grid = grids[specs[0].s0]
-    for _, _, V, *_ in _sweep_banded(grid, rule, Z, reach=True, stops=stops):
-        pass
-    roots = V[:, 0].tolist()
-    roots = _priced(specs[next((i // 2 for i, r in enumerate(roots) if r != r), 0)], rule, roots)
-    return [(-lo, hi) for hi, lo in zip(roots[::2], roots[1::2])]
+    roots = dict.fromkeys(n2 - h for h in horizons)
+    for j, cone, _, _, C, _ in _sweep_banded(grids[specs[0].s0], rule, Z, reach=True, stops=stops):
+        if j in roots:  # the root of horizon n2 - j, which has no liquidation column j
+            roots[j] = [x if x > _INVALID else math.nan for x in C[:, spec.n1 - cone.start].tolist()]
+    out = []
+    for h, r in ((h, roots[n2 - h]) for h in horizons):
+        if (i := next((i // 2 for i, x in enumerate(r) if x != x), None)) is not None:
+            s = specs[i]
+            _priced(dataclasses.replace(s, n1=min(s.n1, s.p * h), n2=h,
+                                        lam=[c - n2 + h for c in s.lam if c > n2 - h]), rule, r)
+        out.append([(-lo, hi) for hi, lo in zip(r[::2], r[1::2])])
+    return out
+
+
+def price_all(spec: GridSpec, rule: TransitionRule, points) -> list[tuple[float, float]]:
+    """(lower, upper) worst-case price interval at the root vertex (0, 0) for each
+    point ``(s0, payoff)`` or ``(s0, payoff, lam)`` of ``points``, priced on ``spec``
+    with that ``s0`` and ``lam`` (by default ``spec.lam``): the one horizon ``spec.n2``
+    of :func:`price_horizons`, equal to a one-point pass bitwise.
+    """
+    return price_horizons(spec, rule, points, [spec.n2])[0]
 
 
 def price(spec: GridSpec, rule: TransitionRule, payoff) -> tuple[float, float]:

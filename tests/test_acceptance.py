@@ -11,10 +11,9 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from trajbounds.engine import band_bounds, compute_bounds, inject_arbitrage, price
-from trajbounds.grid import Payoff, build_grid, payoff_eval
+from trajbounds.grid import Payoff, build_grid
 from trajbounds.hedge import SHORT, sample_trajectory, simulate_pnl
 from trajbounds.model import (
     BinomialBandRule,

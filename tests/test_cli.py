@@ -329,14 +329,15 @@ class TestCommands:
         assert any(hedge.sample_trajectory(rule, grid, seed=seed + t).terminal[1] == 10
                    for t in range(15))
 
-    @pytest.mark.parametrize("command, text, sweeps", [
-        ("merton-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\n", 1),
+    @pytest.mark.parametrize("command, text, sweeps, horizons", [
+        ("merton-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\n", 1, 1),
         ("arbitrage-scan", "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nseed = 1\n"
-                           "fraction_list = 0,0.1,0.3\n", 3),
-        ("vol-scan", "vol_unit = 5\nvol_steps = 3\n", 3),
+                           "fraction_list = 0,0.1,0.3\n", 3, 1),
+        ("vol-scan", "vol_unit = 5\nvol_steps = 3\n", 1, 3),
     ], ids=["merton-scan", "arbitrage-scan", "vol-scan"])
-    def test_scan_sweeps_once_per_grid_shape(self, tmp_path, monkeypatch, command, text, sweeps):
-        # Spots, payoffs and liquidation columns on one grid shape are lanes of one sweep.
+    def test_scan_sweeps_once_per_grid_shape(self, tmp_path, monkeypatch, command, text, sweeps, horizons):
+        # Spots, payoffs and liquidation columns on one grid shape are lanes of one
+        # sweep; vol-scan reads all its horizons off the longest one's sweep.
         sweep = engine._sweep_banded
         calls = []
         monkeypatch.setattr(engine, "_sweep_banded", lambda grid, rule, Z, reach, stops=None:
@@ -345,7 +346,7 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()[1:]
         assert len(calls) == sweeps
-        assert sum(calls) == 2 * len(rows)  # one [Z, -Z] lane pair per CSV row
+        assert sum(calls) == 2 * len(rows) // horizons  # one [Z, -Z] lane pair per CSV row and horizon
 
     def test_vol_scan_convex_upper_equality(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg",

@@ -857,6 +857,101 @@ class TestLiveCone:
         assert str(got.value) == str(want.value)
 
 
+class TestPriceHorizons:
+    """``price_horizons`` reads horizon h off the one sweep of ``spec``, at column
+    ``n2 - h``; each horizon equals ``price_all`` on its own spec, zero signs included."""
+
+    @staticmethod
+    def horizon_spec(spec, h, lam=None):
+        """``spec`` cut to horizon h: its last h columns, rooted at column n2 - h, with
+        the liquidation columns ``lam`` (by default ``spec.lam``) among them."""
+        return dataclasses.replace(spec, n1=min(spec.n1, spec.p * h), n2=h,
+                                   lam=[c - spec.n2 + h for c in lam or spec.lam if c > spec.n2 - h])
+
+    def by_horizon(self, spec, rule, points, horizons):
+        """``price_all`` of each horizon on its own spec, or the error it raises."""
+        out = []
+        for h in horizons:
+            try:
+                out.append(price_all(self.horizon_spec(spec, h), rule,
+                                     [(s0, z, self.horizon_spec(spec, h, *lam).lam) for s0, z, *lam in points]))
+            except (ValueError, ArithmeticError) as e:
+                out.append((type(e), str(e)))
+        return out
+
+    @pytest.mark.parametrize("rule", [
+        bjn_rule(), MARule(2), MARule(2, allow_flat=True), MARule(3), MARule(3, allow_flat=True),
+        MBRule(3, 2), MBRule(4, 3)], ids=["BJN", "MA2", "MA2-flat", "MA3", "MA3-flat", "MB3A2", "MB4A3"])
+    @pytest.mark.parametrize("unit", [1, 5, 7, 15])
+    @pytest.mark.parametrize("steps", [1, 2, 6])
+    def test_vol_scan_horizons_equal_per_horizon_sweeps(self, rule, unit, steps):
+        # vol-scan's lanes: single (N,) and cumulative (unit, ..., N) liquidation
+        # columns, each horizon unit*j priced before on its own n1 = n2 = unit*j grid.
+        n, step = unit * steps, math.sqrt(V0 / 120)
+        horizons = [unit * j for j in range(1, steps + 1)]
+        points = [(s0, z, lam) for s0 in (0.95, 1.0, 1.07) for z in (CALL, PUT, BFLY)
+                  for lam in ((n,), tuple(horizons))]
+        got = engine.price_horizons(spec_for_rule(rule, 1.0, step, step, n, n), rule, points, horizons)
+        for h, row in zip(horizons, got):
+            old = [(s0, z, (h,) if len(lam) == 1 else tuple(horizons[: h // unit])) for s0, z, lam in points]
+            assert repr(row) == repr(price_all(spec_for_rule(rule, 1.0, step, step, h, h), rule, old)), h
+
+    @pytest.mark.parametrize("rule, n1", [
+        (DoubleStepRule(), 10), (FlatTailRule(), 10), (OverlapRule(), 10), (UpOnlyRule(), 10),
+        (NoMoveRule(), 10), (MARule(3), 10), (MARule(3), 30)],
+        ids=["double_step", "flat_tail", "overlap", "up_only", "no_band", "MA3-n1=10", "MA3-n1=30"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_each_horizon_equals_its_own_spec(self, rule, n1, order):
+        # Values, or the audit error of the first unpriced (horizon, point), the
+        # horizons taken in the order given.
+        spec = unit_spec(rule, n1, 10, lam=(5, 10))
+        points = [(1.0, PUT), (1.05, CALL, (10,)), (0.9, BFLY, (1, 4, 9, 10)), (1.0, CALL, (2, 8, 10))]
+        horizons = list(range(1, 11))[::order]
+        want = self.by_horizon(spec, rule, points, horizons)
+        failed = [w for w in want if not isinstance(w, list)]
+        if not failed:
+            assert repr(engine.price_horizons(spec, rule, points, horizons)) == repr(want)
+            return
+        with pytest.raises(failed[0][0]) as got:
+            engine.price_horizons(spec, rule, points, horizons)
+        assert type(got.value) is failed[0][0] and str(got.value) == failed[0][1]
+
+    def test_up_only_rule_raises_per_horizon_error(self):
+        rule = UpOnlyRule()
+        spec = unit_spec(rule, 8, 8)
+        for horizons in ([3, 8], [8, 3]):
+            with pytest.raises(ModelValidationError) as want:
+                price_all(self.horizon_spec(spec, horizons[0]), rule, [(1.0, CALL)])
+            with pytest.raises(ModelValidationError) as got:
+                engine.price_horizons(spec, rule, [(1.0, CALL)], horizons)
+            assert str(got.value) == str(want.value)
+            assert got.value.report.spec == want.value.report.spec
+
+    @pytest.mark.parametrize("rule, n1, p, horizons, text", [
+        (inject_arbitrage(MARule(3), 0.1, 1), 20, 3, [10, 20],
+         "horizons below n2=20 need a rule whose bands serve every column"),
+        (MARule(3), 5, 3, [4, 6, 20], "horizon 6's grid clips its live cone |k| <= 6"),
+        (OffGridPairRule(), 20, 1, [20, 2], "horizon 2's grid clips its live cone |k| <= 10"),
+        (MARule(3), 20, 3, [0, 20], "horizons must lie in 1..n2=20, got [0, 20]"),
+        (MARule(3), 20, 3, [20, 21], "horizons must lie in 1..n2=20, got [20, 21]"),
+    ], ids=["injected", "n1_clips", "p_clips", "zero", "past_n2"])
+    def test_bad_horizons_rejected(self, rule, n1, p, horizons, text):
+        spec = dataclasses.replace(unit_spec(rule, n1, 20), p=p)
+        with pytest.raises(ValueError) as got:
+            engine.price_horizons(spec, rule, [(1.0, CALL)], horizons)
+        assert type(got.value) is ValueError and str(got.value) == text
+
+    @pytest.mark.parametrize("rule, n1, horizons", [
+        (inject_arbitrage(MARule(3), 0.1, 1), 20, [20]), (MARule(3), 10, [10, 3])], ids=["injected", "n1_edge"])
+    def test_horizons_at_the_edge_allowed(self, rule, n1, horizons):
+        # Horizon n2 on any rule; a horizon grid exactly as wide as its live cone,
+        # priced even though the full model, whose cone the grid clips, is not 0-neutral.
+        spec = unit_spec(rule, n1, 20, lam=(8, 20))
+        points = [(s0, z) for s0 in (0.9, 1.0) for z in (CALL, BFLY)]
+        want = self.by_horizon(spec, rule, points, horizons)
+        assert repr(engine.price_horizons(spec, rule, points, horizons)) == repr(want)
+
+
 class TestInjectArbitrage:
     def test_fraction_zero_identity_prices(self):
         base = bjn_rule()

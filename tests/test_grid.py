@@ -6,7 +6,7 @@ import pytest
 
 from trajbounds.engine import compute_bounds, inject_arbitrage
 from trajbounds.grid import Payoff, build_grid, payoff_eval
-from trajbounds.model import GridSpec, MARule, ModifiedRule, bjn_rule, spec_for_rule
+from trajbounds.model import GridSpec, MARule, ModifiedRule, spec_for_rule
 
 
 def unit_spec(p, n1, n2, lam=None, s0=1.0, step=0.01):

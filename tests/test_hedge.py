@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from trajbounds.engine import _terminal_rows, compute_bounds, inject_arbitrage, price
+from trajbounds.engine import _terminal_rows, compute_bounds, inject_arbitrage
 from trajbounds.grid import Payoff, build_grid, payoff_eval
 from trajbounds.hedge import (
     LONG,

@@ -16,10 +16,9 @@ def test_public_api_is_the_pricer():
         "MARule", "MBRule", "ModelValidationError", "ModifiedRule", "NodeClass",
         "NotZeroNeutralError", "Payoff", "Trajectory", "TransitionRule", "ValidationReport",
         "Vertex", "band_bounds", "bjn_rule", "black_scholes", "build_grid", "classify_node",
-        "compute_bounds", "engine", "extract_hedge", "grid", "hedge", "inject_arbitrage",
-        "merton_envelope", "model", "oracle", "payoff_eval", "price", "price_all", "reachable",
-        "sample_trajectory", "simulate_pnl", "spec_for_rule", "spec_from_total_variance",
-        "validate_model",
+        "compute_bounds", "extract_hedge", "inject_arbitrage", "merton_envelope", "payoff_eval",
+        "price", "price_all", "price_horizons", "reachable", "sample_trajectory", "simulate_pnl",
+        "spec_for_rule", "spec_from_total_variance", "validate_model",
     ]
 
 

@@ -32,8 +32,10 @@ cuts them off the grid, a wider one holds vertices the root cannot reach.
 More families hash ``bands()``, ``kind``, ``repr``, ``p`` and ``max_dj`` of
 MA and MB rules for p = 1..9, the ``ModifiedRule`` selections, and the exit
 code, error text, CSV and SVG of ``merton-scan``, ``arbitrage-scan`` and
-``vol-scan --svg`` on one valid and one invalid config each, and of two more
-valid ``vol-scan`` configs (MA p = 2 with flat moves, and BJN).  One more
+``vol-scan --svg`` on one valid and one invalid config each, and of three more
+valid ``vol-scan`` configs (MA p = 2 with flat moves, BJN, and the shape of
+perfbench's ``scan`` workload: MB p = 3, A = 2, ``vol_ref_steps`` 120,
+``vol_unit`` 15, ``vol_steps`` 6, with a fixed strike).  One more
 line hashes ``engine.price_all`` of 5 spots x (call, put, butterfly) at the
 two large shapes of perfbench's ``deep`` workload (MA p = 8 at N2 = 200 and
 BJN at N2 = 1200, n1 = N2), where the sweep's live cone is narrower than the
@@ -116,6 +118,8 @@ SCANS = {  # command: (valid config, invalid config)
 MORE_SCANS = {  # label: further valid vol-scan config
     "ma2-flat": "model = ma\np = 2\nallow_flat = true\nvol_unit = 5\nvol_steps = 4\n",
     "bjn": "model = bjn\nvol_unit = 6\nvol_steps = 3\n",
+    "scan-shape": "model = mb\np = 3\nA = 2\nv0 = 0.0067\nvol_ref_steps = 120\nvol_unit = 15\n"
+                  "vol_steps = 6\nK = 1.0123\nK1 = 1.0123\nK2 = 1.1123\n",  # perfbench scan's vol job
 }
 
 
