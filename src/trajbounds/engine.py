@@ -10,7 +10,7 @@ one broadcast (the per-vertex hull step that checks it is in the tests'
 nearest zero, so it superhedges every successor.  Upper and lower bounds come
 from one batched sweep over each column's live cone of the stacked rows
 ``[Z, -Z]``, which builds what a band list reads (windows, nested where they
-share their last row, and pair weights) once per sweep as a plan, and holds
+share their last row, and pair weights) once per sweep as a plan per vertex class, and holds
 O((``max_dj`` + ups·downs) · width · lanes) floats per column:
 ``compute_bounds`` keeps full surfaces, ``price_horizons`` only the roots of many
 ``(s0, payoff[, lam])`` points, as lanes that each stop on their own
@@ -70,49 +70,61 @@ def _terminal_rows(payoff, prices: list, k0: int) -> np.ndarray:
 
 def _pair_weights(dks, em1: dict) -> tuple:
     """Up-moves a and down-moves b of ``dks``, in order, the pairs' ``(ups, downs, 1, 1)``
-    weights on a and on b, and the pairs ``(i, r, a, b)`` of ``ups[i]``, ``downs[r]`` to mask."""
+    weights on a and on b, and the indices ``(i, r)`` of ``ups[i]``, ``downs[r]`` with b >= a."""
     downs = [d for d in dks if em1[d] <= 0]
     ups = [a for a in dks if em1[a] >= 0 and downs]
     # Pair weights in Python floats: one IEEE division each.
     w = np.array([[(-em1[b] / (em1[a] - em1[b]), em1[a] / (em1[a] - em1[b])) if b < a else (0.0, 0.0)
                    for b in downs] for a in ups]).reshape(len(ups), len(downs), 2, 1, 1)
-    masked = [(i, r, a, b) for i, a in enumerate(ups) for r, b in enumerate(downs)
-              if b >= a or 0.0 in (em1[a], em1[b])]
-    return ups, downs, w[:, :, 0], w[:, :, 1], masked
+    return ups, downs, w[:, :, 0], w[:, :, 1], list(zip(*np.nonzero(np.subtract.outer(ups, downs) <= 0)))
 
 
-def _pair_combine(ys: dict, em1: dict, on: dict, pairs: tuple | None = None) -> np.ndarray:
+def _pair_combine(ys: dict, em1: dict, pairs: tuple | None = None) -> np.ndarray:
     """The best chord value over all pairs of moves, floored at the sentinel.
 
-    ``ys``, ``em1`` and ``on`` map each move to its successor values, its relative price
-    change and where it applies (True: everywhere); ``pairs`` is their :func:`_pair_weights`,
-    with at least one up-move.  All pairs meet in one ``(ups, downs, lanes, width)`` broadcast
-    and one max over its pairs flattened in (up, down) order (``np.maximum`` keeps a zero's
-    sign by position); b >= a is no pair, so its row is the sentinel."""
-    ups, downs, wa, wb, masked = pairs or _pair_weights(tuple(ys), em1)
+    ``ys`` and ``em1`` map each move, which applies everywhere, to its successor values and
+    its relative price change; ``pairs`` is their :func:`_pair_weights`, with at least one
+    up-move.  All pairs meet in one ``(ups, downs, lanes, width)`` broadcast and one max over
+    its pairs flattened in (up, down) order (``np.maximum`` keeps a zero's sign by position);
+    b >= a is no pair, so its row is the sentinel."""
+    ups, downs, wa, wb, none = pairs or _pair_weights(tuple(ys), em1)
     v = wb * np.array([ys[b] for b in downs])
     v += wa * np.array([ys[a] for a in ups])[:, None]
-    for i, r, a, b in masked:
-        if b >= a:
-            v[i, r] = -_BIG
-        # A flat move's pair carries a zero weight, whose product with
-        # the sentinel is a signed zero: count it only where both apply.
-        elif (both := on[a] & on[b]) is not True:
-            v[i, r][..., ~both] = -_BIG
+    for i, r in none:
+        v[i, r] = -_BIG
     m = np.maximum.reduce(v.reshape(-1, *v.shape[2:]))
     return np.maximum(m, -_BIG, out=m)
 
 
-def _sweep_plan(bands: list, D: int, max_dj: int, em1: dict, weights: dict) -> tuple:
-    """``(dk, window, mask or True)`` per band of the cut list ``bands``, the distinct windows
-    by ``hi``, shortest first, and the moves' :func:`_pair_weights`, shared via ``weights``."""
-    kept = [(dk, (lo, hi), True if m is None else m) for dk, lo, hi, m in bands]
-    for dk, (lo, hi), _ in kept:
+def _sweep_plan(bands: list, em1: dict, weights: dict) -> tuple:
+    """``(dk, window)`` per band of one vertex class's cut ``bands``, and their :func:`_pair_weights`."""
+    dks = tuple(dict.fromkeys(dk for dk, _, _ in bands))
+    pairs = weights.get(dks) or weights.setdefault(dks, _pair_weights(dks, em1))
+    return [(dk, (lo, hi)) for dk, lo, hi in bands], pairs
+
+
+def _column_plan(bands: list, D: int, max_dj: int, em1: dict, plans: dict, weights: dict) -> tuple:
+    """The vertex classes of the cut list ``bands``, each ``(mask or None, *plan)`` with the
+    :func:`_sweep_plan` of its bands, and all classes' distinct windows by ``hi``, shortest first."""
+    classes = {}
+    for dk, lo, hi, mask in bands:
         if lo < 1 or hi > D:  # the buffer holds rows j+1 .. j+D only
             raise ValueError(f"band {(dk, lo, hi)} leaves 1 <= dj <= max_dj={max_dj}")
-    dks = tuple(dict.fromkeys(dk for dk, _, _ in kept))
-    return (kept, sorted({w for _, w, _ in kept}, key=lambda w: (w[1], -w[0])),
-            weights.get(dks) or weights.setdefault(dks, _pair_weights(dks, em1)))
+        classes.setdefault(id(mask), (mask, []))[1].append((dk, lo, hi))
+    classes = [(mask, *(plans.get(key := tuple(cut)) or plans.setdefault(key, _sweep_plan(cut, em1, weights))))
+               for mask, cut in classes.values()]
+    return classes, sorted({w for _, kept, _ in classes for _, w in kept}, key=lambda w: (w[1], -w[0]))
+
+
+def _by_class(classes: list, rows: list, fill, shape: tuple) -> np.ndarray:
+    """The per-class ``rows`` of a swept column, each on its class's span, merged by the
+    disjoint masks; ``fill`` at a vertex in no class (its class's bands were all cut away)."""
+    if classes and classes[0][0] is None:
+        return rows[0]
+    out = np.full(shape, fill)
+    for (mask, at, _), row in zip(classes, rows):
+        np.copyto(out[:, at], row, where=mask)
+    return out
 
 
 def _window_maxima(rows: np.ndarray, wins: list) -> dict:
@@ -130,31 +142,33 @@ def _window_maxima(rows: np.ndarray, wins: list) -> dict:
 def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, stops: dict | None = None):
     """Vectorized descending-j sweep of the stacked terminal rows ``Z`` (lanes, W).
 
-    Column j has vertices only on its live cone, rows ``n1-live[j] .. n1+live[j]``:
-    with ``reach``, the :func:`_live_cone` the root reaches, else the whole grid column.
-    Yields ``(j, cone, V, ys, C, stop)`` for j = n2-1 .. 0 on the row slice ``cone``:
-    the live cone widened to a multiple of 16 rows, as numpy keeps freed blocks
-    under 1 KiB per size.  ``V`` are values, ``ys`` window maxima per dk, ``C`` the
-    continuation (at least the sentinel, exactly it where no pair of moves exists,
-    at most ``_INVALID`` where none is finite, NaN off the live cone),
-    ``stop`` a liquidation column's stop mask (else None).  ``stops`` maps each
-    liquidation column to the lanes that may stop there, a (lanes, 1) mask or True
-    for all (by default every lane stops on ``spec.lam``).  Only the next
-    ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row j+d.
-    ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and
-    the D-1 rows still needed move up once every D columns.  Columns with the same
-    cut list of :func:`column_moves` share one :func:`_sweep_plan`: its bands,
-    checked in band order, its windows, read nested by :func:`_window_maxima`, and its pair
-    weights for :func:`_pair_combine`: O((``max_dj`` + ups·downs) · width · lanes) floats.
-    A vertex is left NaN where it has no finite local optimum: it is not 0-neutral,
-    it has no move and sits off every liquidation column, or one of its successors is NaN.
+    Column j has vertices only on its live cone, rows ``n1-live[j] .. n1+live[j]``: with
+    ``reach``, the :func:`_live_cone` the root reaches, else the whole grid column.  Yields
+    ``(j, cone, V, classes, C, stop)`` for j = n2-1 .. 0 on the row slice ``cone``: the live
+    cone widened to a multiple of 16 rows, as numpy keeps freed blocks under 1 KiB per size.
+    ``V`` are values; ``classes`` the column's vertex classes with a swept vertex, each
+    ``(mask, span, ys)``: window maxima ``ys`` per dk on ``span``, the slice of the cone from
+    the class's first to last vertex, which ``mask`` marks (None: all of the cone); ``C`` the
+    continuation (at least the sentinel, exactly it where no pair of moves exists, at most
+    ``_INVALID`` where none is finite, NaN off the live cone); ``stop`` a liquidation column's
+    stop mask (else None).  ``stops`` maps each liquidation column to the lanes that may stop
+    there, a (lanes, 1) mask or True for all (by default every lane stops on ``spec.lam``).
+    Only the next ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row
+    j+d.  ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and the
+    D-1 rows still needed move up once every D columns.  :func:`_column_plan` splits a cut
+    list of :func:`column_moves` by mask into vertex classes (one if no band is masked), whose
+    windows :func:`_window_maxima` reads nested once per column; each class takes one
+    :func:`_pair_combine` of its own moves on its span, merged by :func:`_by_class`:
+    O((``max_dj`` + ups·downs) · width · lanes) floats.  A vertex is left NaN where it has no
+    finite local optimum: it is not 0-neutral, it has no move and sits off every liquidation
+    column, or one of its successors is NaN.
     """
     spec = grid.spec
     n1, n2 = spec.n1, spec.n2
     stops = dict.fromkeys(spec.lam, True) if stops is None else stops
     pmax, D = rule.p, min(rule.max_dj, n2)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
-    moves, plans, weights = column_moves(spec, rule), {}, {}
+    moves, columns, plans, weights = column_moves(spec, rule), {}, {}, {}
     live = _live_cone(moves, grid.half_widths.tolist()) if reach else grid.half_widths.tolist()
 
     # Off-cone entries hold the sentinel, so window maxima ignore them, as do
@@ -168,43 +182,44 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
     for j, bands in zip(range(n2 - 1, -1, -1), moves[::-1]):
         w, s = live[j], min(c, -(-live[j] // 16) * 16)  # live and swept half-widths
         cone = slice(n1 - s, n1 + s + 1)
-        if id(bands) not in plans:
-            plans[id(bands)] = _sweep_plan(bands, D, rule.max_dj, em1, weights)
-        kept, wins, pairs = plans[id(bands)]
+        if id(bands) not in columns:
+            columns[id(bands)] = _column_plan(bands, D, rule.max_dj, em1, plans, weights)
+        col, wins = columns[id(bands)]
         win = _window_maxima(buf[pos:, :, c - s: c + s + 2 * pmax + 1], wins)
-        # Window maxima per dk, same-dk bands merged by max; a masked-off band
-        # reads as the sentinel, like a move that leaves the grid.
-        ys: dict[int, np.ndarray] = {}
-        on: dict[int, bool | np.ndarray] = {}  # where some band of dk applies; True: everywhere
-        for dk, wk, mask in kept:
-            y = win[wk][:, pmax + dk: pmax + dk + 2 * s + 1]
-            if mask is not True:
-                y = np.where(mask := mask[cone], y, -_BIG)
-            if dk in ys:
-                ys[dk], on[dk] = np.maximum(ys[dk], y), on[dk] | mask
-            else:
-                ys[dk], on[dk] = y, mask
-        C = _pair_combine(ys, em1, on, pairs) if pairs[0] else np.full((len(Z), 2 * s + 1), -_BIG)
-        if 0 in ys:
-            # Flat moves only: the degenerate hull takes the best flat value.
-            C = np.where(C <= _INVALID, ys[0], C)
+        classes, Cs, shape = [], [], (len(Z), 2 * s + 1)
+        for mask, kept, pairs in col:
+            on = (0, 2 * s) if mask is None else np.flatnonzero(mask := mask[cone])
+            if not len(on):
+                continue  # no swept vertex in this class
+            a, b = int(on[0]), int(on[-1]) + 1  # the class's span of the cone
+            ys: dict[int, np.ndarray] = {}  # window maxima per dk, same-dk bands merged by max
+            for dk, wk in kept:
+                y = win[wk][:, pmax + dk + a: pmax + dk + b]
+                ys[dk] = np.maximum(ys[dk], y) if dk in ys else y
+            C = _pair_combine(ys, em1, pairs) if pairs[0] else np.full((len(Z), b - a), -_BIG)
+            if 0 in ys:
+                # Flat moves only: the degenerate hull takes the best flat value.
+                C = np.where(C <= _INVALID, ys[0], C)
+            classes.append((mask if mask is None else mask[a:b], slice(a, b), ys))
+            Cs.append(C)
+        C = _by_class(classes, Cs, -_BIG, shape)
         C[:, : s - w] = C[:, s + w + 1:] = np.nan  # not vertices: never stuck, never stopped
 
         ok = C > _INVALID
         V = np.where(ok, C, np.nan)
         stop = lanes = stops.get(j)
         if lanes is not None:
-            # Forced liquidation where no move is left (a NaN target is a
-            # move); elsewhere stop where the payoff beats continuation.
+            # Forced liquidation where no move of the vertex's class is left (a NaN
+            # target is a move); elsewhere stop where the payoff beats continuation.
             stuck = C <= _INVALID
-            for y in ys.values():
-                stuck &= y <= _INVALID
+            stuck &= _by_class(classes, [np.logical_and.reduce([y <= _INVALID for y in ys.values()])
+                                         for _, _, ys in classes], True, shape)
             stop = stuck | (Z[:, cone] > V)  # NaN-safe: comparisons with NaN are False
             if lanes is not True:
                 stop &= lanes
             V = np.where(stop, Z[:, cone], V)
 
-        yield j, cone, V, ys, C, stop
+        yield j, cone, V, classes, C, stop
         if pos == 0:
             buf[D + 1:] = buf[: D - 1]
             pos = D + 1
@@ -213,17 +228,21 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
         buf[pos, :, c - w + pmax: c + w + pmax + 1] = V[:, s - w: s + w + 1]
 
 
-def _support_slopes(C: np.ndarray, ys: dict, prices: np.ndarray, delta: float, stop) -> np.ndarray:
+def _support_slopes(C: np.ndarray, classes: list, prices: np.ndarray, delta: float, stop) -> np.ndarray:
     """Hedge slope at each vertex of a column swept by :func:`_sweep_banded`: the support
-    slope nearest zero of its continuation ``C`` over every dk's window maximum ``ys``,
-    NaN where it has no continuation, 0 at a forced ``stop``, elementwise."""
-    lo, hi = np.full(C.shape, -np.inf), np.full(C.shape, np.inf)
-    for a in (d for d in ys if d > 0):
-        np.maximum(lo, (ys[a] - C) / (prices * math.expm1(a * delta)), out=lo)
-    for b in (d for d in ys if d < 0):
-        np.minimum(hi, (ys[b] - C) / (prices * math.expm1(b * delta)), out=hi)
+    slope nearest zero of its continuation ``C`` over every dk's window maximum ``ys`` of
+    its class, NaN where it has no continuation, 0 at a forced ``stop``, elementwise."""
+    rows = []
+    for _, at, ys in classes:
+        c, x = C[:, at], prices[at]
+        lo, hi = np.full(c.shape, -np.inf), np.full(c.shape, np.inf)
+        for a in (d for d in ys if d > 0):
+            np.maximum(lo, (ys[a] - c) / (x * math.expm1(a * delta)), out=lo)
+        for b in (d for d in ys if d < 0):
+            np.minimum(hi, (ys[b] - c) / (x * math.expm1(b * delta)), out=hi)
+        rows.append(np.minimum(np.maximum(0.0, lo), hi))
     ok = C > _INVALID
-    S = np.where(ok, np.minimum(np.maximum(0.0, lo), hi), np.nan)
+    S = np.where(ok, _by_class(classes, rows, np.nan, C.shape), np.nan)
     if stop is not None:
         S[stop & ~ok] = 0.0  # forced stop: no move is left
     return S
@@ -256,10 +275,10 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     """
     Z = _terminal_rows(payoff, grid.prices.tolist(), -grid.spec.n1)
     U, S, P = _terminal_surfaces(grid, Z)
-    for j, col, V, ys, C, stop in _sweep_banded(grid, rule, Z, reach=False):
+    for j, col, V, classes, C, stop in _sweep_banded(grid, rule, Z, reach=False):
         Pj = np.where(C > _INVALID, np.int8(PROV_CONTINUATION), np.int8(0))
         U[:, j, col] = V
-        S[:, j, col] = _support_slopes(C, ys, grid.prices[col], grid.spec.delta, stop)
+        S[:, j, col] = _support_slopes(C, classes, grid.prices[col], grid.spec.delta, stop)
         P[:, j, col] = Pj if stop is None else np.where(stop, np.int8(PROV_Q_MAX), Pj)
     _priced(grid.spec, rule, U[:, 0, grid.spec.n1].tolist())
     np.negative(U[1], out=U[1])
@@ -356,12 +375,12 @@ def band_bounds(rule: BinomialBandRule, steps: int, s0: float, payoff) -> tuple[
     rho = (rule.u / rule.d) ** (1.0 / (L - 1))
     V = _terminal_rows(payoff, (s0 * rule.d ** steps * rho ** np.arange(steps * (L - 1) + 1)).tolist(), 0)
     em1 = {t: rule.d * rho ** t - 1.0 for t in range(L)}
-    on, pairs = dict.fromkeys(em1, True), _pair_weights(list(em1), em1)
+    pairs = _pair_weights(list(em1), em1)
     if not pairs[0]:
         raise NotZeroNeutralError()
     for i in range(steps - 1, -1, -1):
         n = i * (L - 1) + 1
-        C = _pair_combine({t: V[:, t: t + n] for t in em1}, em1, on, pairs)
+        C = _pair_combine({t: V[:, t: t + n] for t in em1}, em1, pairs)
         if not (C > _INVALID).all():
             raise NotZeroNeutralError()
         V = C

@@ -119,9 +119,9 @@ def path_hedges(rule: TransitionRule, grid: Grid, Z: np.ndarray, trajs: Sequence
     order = np.argsort(j, kind="stable")
     first = np.searchsorted(j[order], np.arange(grid.spec.n2 + 1)).tolist()  # of each column
     S = np.empty((len(Z), len(k)))
-    for jj, cone, V, ys, C, stop in engine._sweep_banded(grid, rule, Z, reach=True):
+    for jj, cone, V, classes, C, stop in engine._sweep_banded(grid, rule, Z, reach=True):
         at = order[first[jj]: first[jj + 1]]
-        slopes = engine._support_slopes(C, ys, grid.prices[cone], grid.spec.delta, stop)
+        slopes = engine._support_slopes(C, classes, grid.prices[cone], grid.spec.delta, stop)
         S[:, at] = slopes[:, k[at] + grid.spec.n1 - cone.start]
     hi, lo = engine._priced(grid.spec, rule, V[:, 0].tolist())
     return (-lo, hi), {SHORT: S[0], LONG: S[1]}

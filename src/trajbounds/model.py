@@ -175,7 +175,9 @@ class TransitionRule:
 
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
         """Every band of column j, with the boolean row (full width) of the
-        vertices it applies to; a ``None`` mask means all of them."""
+        vertices it applies to.  The masks partition the column into vertex
+        classes: bands of one class share one mask row object, and a ``None``
+        mask means the whole column, which is then the only class."""
         return [(dk, lo, hi, None) for dk, lo, hi in self.bands()]
 
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
@@ -320,10 +322,15 @@ class ModifiedRule(TransitionRule):
     def max_dj(self) -> int:
         return self.p ** 2
 
+    def _drawn(self, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Rows j and columns k + n1 of the selected vertices, in draw order."""
+        js, iis = np.nonzero(reachable_masks(spec, self.base)[:spec.n2])
+        order = np.random.default_rng(self.seed).permutation(len(js))[:int(round(self.fraction * len(js)))]
+        return js[order], iis[order]
+
     def selection(self, spec: GridSpec) -> frozenset[Vertex]:
-        pool = _vertex_list(spec, reachable_masks(spec, self.base)[:spec.n2])
-        order = np.random.default_rng(self.seed).permutation(len(pool))
-        return frozenset(pool[i] for i in order[:int(round(self.fraction * len(pool)))])
+        js, iis = self._drawn(spec)
+        return frozenset(zip((iis - spec.n1).tolist(), js.tolist()))
 
     def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
         # Base reachability reads only the grid shape, so specs that differ in
@@ -335,17 +342,16 @@ class ModifiedRule(TransitionRule):
         got = cache.get(key)
         if got is None:
             sel = np.zeros((spec.n2 + 1, spec.width), dtype=bool)
-            for k, jj in self.selection(spec):
-                sel[jj, k + spec.n1] = True
+            sel[self._drawn(spec)] = True
             ks = np.arange(-spec.n1, spec.n1 + 1)
             rest, pos, neg = ~sel, sel & (ks >= 0), sel & (ks < 0)
             # Arbitrage moves: down or flat where k >= 0, up or flat where k < 0.
             p, top, base = self.p, self.max_dj, self.base.column_bands(spec, 0)
-            got = [[(dk, lo, hi, rest[jj]) for dk, lo, hi in self.base.bands()]
-                   + [(dk, 1, top, pos[jj]) for dk in range(-p, 1)]
-                   + [(dk, 1, top, neg[jj]) for dk in range(0, p + 1)]
+            got = [[(dk, lo, hi, r) for dk, lo, hi in self.base.bands()]
+                   + [(dk, 1, top, po) for dk in range(-p, 1)]
+                   + [(dk, 1, top, ne) for dk in range(0, p + 1)]
                    if any_sel else base
-                   for jj, any_sel in enumerate(sel.any(axis=1).tolist())]
+                   for r, po, ne, any_sel in zip(rest, pos, neg, sel.any(axis=1).tolist())]
             cache[key] = got
         return got[j]
 

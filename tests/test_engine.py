@@ -273,6 +273,10 @@ class TestComputeBounds:
             (inject_arbitrage(MARule(3), 0.3, seed=5), dict(n1=9, n2=9, lam=(5, 9))),
             # A base band and an arbitrage band share dk = 0 under different masks.
             (inject_arbitrage(MARule(2, allow_flat=True), 0.3, seed=5), dict(n1=9, n2=9, lam=(5, 9))),
+            # Every reachable vertex selected; the cone never meets the grid's edge.
+            (inject_arbitrage(MARule(2), 1.0, seed=3), dict(n1=16, n2=8, lam=(4, 8))),
+            # dk = 0 in all three classes, and the stop runs on a three-class column.
+            (inject_arbitrage(MARule(2, allow_flat=True), 1.0, seed=3), dict(n1=16, n2=8, lam=(4, 8))),
             # Bands with the same dk merge by max.
             (OverlapRule(), dict(n1=4, n2=4)),
             (OverlapRule(), dict(n1=6, n2=6, lam=(3, 6))),
@@ -618,16 +622,14 @@ class TestPriceAll:
             price_all(unit_spec(rule, 4, 4), rule, [])
 
 
-def pair_combine_by_pairs(C, ys, em1, on):
+def pair_combine_by_pairs(C, ys, em1):
     """Reference for ``engine._pair_combine``: one pair of moves at a time."""
     for a in (d for d in ys if em1[d] >= 0):
         ea = em1[a]
         for b in (d for d in ys if em1[d] <= 0 and d < a):
             eb = em1[b]
             den = ea - eb
-            v = (-eb / den) * ys[a] + (ea / den) * ys[b]
-            both = on[a] & on[b] if 0.0 in (ea, eb) else True
-            np.maximum(C, v if both is True else np.where(both, v, -1e300), out=C)
+            np.maximum(C, (-eb / den) * ys[a] + (ea / den) * ys[b], out=C)
 
 
 class TestPairCombine:
@@ -639,18 +641,16 @@ class TestPairCombine:
     def test_batched_equals_pair_loop_bitwise(self, keys, seed):
         # Zero signs, NaN and sentinels drawn often, so ties and their order
         # count, and so do pairs of sentinels, which round to either side of
-        # the sentinel: (2, -5)'s round below it.  Even moves apply only where
-        # ``on`` is set, so a flat move's pair with an even move is masked on
-        # both sides.
+        # the sentinel: (2, -5)'s round below it.  Every move applies
+        # everywhere, so a flat move's pair counts wherever the other is the sentinel.
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, -0.0, math.nan, -1e300, 0.25, -0.5, 1.0])
         em1 = {d: math.expm1(0.05 * d) for d in keys}
         for shape in ((3, 17), (6, 5)):  # (lanes, width)
             ys = {d: rng.choice(pool, size=shape) for d in keys}
-            on = {d: True if d % 2 else rng.random(shape[1]) < 0.5 for d in keys}
             want = np.full(shape, -1e300)
-            pair_combine_by_pairs(want, ys, em1, on)
-            assert engine._pair_combine(ys, em1, on).tobytes() == want.tobytes(), shape
+            pair_combine_by_pairs(want, ys, em1)
+            assert engine._pair_combine(ys, em1).tobytes() == want.tobytes(), shape
 
 
 class TestWindowMaxima:
@@ -670,7 +670,7 @@ class TestWindowMaxima:
         buf = rng.choice(pool, size=(rule.max_dj, 3, 17))
         bands = [(dk, lo, min(hi, top), None) for dk, lo, hi in rule.bands() if lo <= min(hi, top)]
         em1 = {d: math.expm1(0.05 * d) for d in range(-rule.p, rule.p + 1)}
-        _, wins, _ = engine._sweep_plan(bands, rule.max_dj, rule.max_dj, em1, {})
+        _, wins = engine._column_plan(bands, rule.max_dj, rule.max_dj, em1, {}, {})
         got = engine._window_maxima(buf, wins)
         assert set(got) == {(lo, min(hi, top)) for _, lo, hi in rule.bands() if lo <= min(hi, top)}
         for (lo, hi), y in got.items():
@@ -756,10 +756,27 @@ class TestBandErrors:
             assert type(got.value) is ValueError and str(got.value) == text
 
 
+class TestVertexClasses:
+    def test_injected_sweep_shares_plans_across_columns(self, monkeypatch):
+        # A plan per vertex class and cut, as for the base rule's one class,
+        # not one per column with a selected vertex.
+        built, plan = [], engine._sweep_plan
+        monkeypatch.setattr(engine, "_sweep_plan", lambda *args: built.append(1) or plan(*args))
+        counts = []
+        for rule in (MARule(3), inject_arbitrage(MARule(3), 0.3, seed=1)):
+            built.clear()
+            spec = spec_from_total_variance(rule, 1.0, V0, 60)
+            price_all(spec, rule, [(s0, CALL) for s0 in (0.9, 1.0, 1.1)])
+            counts.append(len(built))
+        assert counts[1] <= 3 * counts[0], counts
+
+
 class TestYieldedContinuation:
     """Each ``C`` the sweep yields is NaN or at least the sentinel -1e300, and
     exactly the sentinel where no pair of moves exists (or, with a flat move,
-    that move's value)."""
+    that move's value).  Every move of a vertex class applies at each of its
+    vertices, which lie in no other class and span its slice of the cone from
+    the first to the last; a vertex in no class has no move."""
 
     @pytest.mark.parametrize("rule", [FlatTailRule(), UpOnlyRule(), inject_arbitrage(MARule(3), 0.1, 1),
                                       OffGridPairRule()],
@@ -771,19 +788,21 @@ class TestYieldedContinuation:
         grid = build_grid(spec)
         moves = column_moves(spec, rule)
         Z = engine._terminal_rows(PUT, grid.prices.tolist(), -n1)
-        for j, cone, _, ys, C, _ in engine._sweep_banded(grid, rule, Z, reach=reach):
-            on = {}  # where some band of each dk applies
-            for dk, _, _, mask in moves[j]:
-                m = True if mask is None else mask[cone]
-                on[dk] = on[dk] | m if dk in on else m
-            paired = np.zeros(C.shape[1], dtype=bool)
-            for a in (d for d in ys if d >= 0):
-                for b in (d for d in ys if d <= 0 and d < a):
-                    paired |= on[a] & on[b] if 0 in (a, b) else True
+        for j, cone, _, classes, C, _ in engine._sweep_banded(grid, rule, Z, reach=reach):
             assert (np.isnan(C) | (C >= -1e300)).all(), j
-            lone = C[:, ~paired]
-            want = ys[0][:, ~paired] if 0 in ys else np.full_like(lone, -1e300)
-            assert (np.isnan(lone) | (lone == want)).all(), j
+            covered = np.zeros(C.shape[1], dtype=bool)
+            for mask, span, ys in classes:
+                at = np.zeros_like(covered)
+                at[span] = True if mask is None else mask
+                assert at[span.start] and at[span.stop - 1] and not (covered & at).any(), j
+                assert all(y.shape == (len(Z), span.stop - span.start) for y in ys.values()), j
+                covered |= at
+                assert set(ys) == {dk for dk, _, _, m in moves[j] if m is None or m[cone][at].all()}, j
+                if not any(b < a for a in ys if a >= 0 for b in ys if b <= 0):
+                    lone = C[:, at]
+                    want = ys[0][:, at[span]] if 0 in ys else np.full_like(lone, -1e300)
+                    assert (np.isnan(lone) | (lone == want)).all(), j
+            assert (np.isnan(C[:, ~covered]) | (C[:, ~covered] == -1e300)).all(), j
 
 
 class TestLiveCone:

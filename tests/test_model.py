@@ -516,6 +516,24 @@ class TestModifiedBands:
                 assert sorted(rule.bands_at(spec, k, j)) == \
                     modified_bands_by_definition(rule, spec, k, j), (k, j)
 
+    @pytest.mark.parametrize("base", [MARule(3), bjn_rule(), MARule(2, allow_flat=True)],
+                             ids=["ma3", "bjn", "ma2_flat"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.3, 1.0])
+    def test_masks_partition_each_column(self, base, fraction):
+        # Bands of one vertex class share one mask row; the classes are
+        # disjoint and cover the column, and a None mask is the only class.
+        rule = inject_arbitrage(base, fraction, seed=7)
+        spec = make_spec(rule, 10, 10)
+        split = 0
+        for j in range(spec.n2):
+            masks = list({id(m): m for *_, m in rule.column_bands(spec, j)}.values())
+            if any(m is None for m in masks):
+                assert len(masks) == 1, j
+            else:
+                assert (np.sum(masks, axis=0) == 1).all(), j
+                split += 1
+        assert split
+
 
 class TestModifiedSelection:
     def test_fraction_zero_is_identity(self):

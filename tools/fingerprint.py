@@ -32,10 +32,13 @@ cuts them off the grid, a wider one holds vertices the root cannot reach.
 More families hash ``bands()``, ``kind``, ``repr``, ``p`` and ``max_dj`` of
 MA and MB rules for p = 1..9, the ``ModifiedRule`` selections, and the exit
 code, error text, CSV and SVG of ``merton-scan``, ``arbitrage-scan`` and
-``vol-scan --svg`` on one valid and one invalid config each, and of three more
+``vol-scan --svg`` on one valid and one invalid config each, of three more
 valid ``vol-scan`` configs (MA p = 2 with flat moves, BJN, and the shape of
 perfbench's ``scan`` workload: MB p = 3, A = 2, ``vol_ref_steps`` 120,
-``vol_unit`` 15, ``vol_steps`` 6, with a fixed strike).  One more
+``vol_unit`` 15, ``vol_steps`` 6, with a fixed strike), and of two
+``arbitrage-scan`` configs at the shape of that workload (MA p = 3, N2 = 60,
+K = 1, five spots, fractions 0, 0.1 and 0.3) for injection seed 1, which
+validates, and seed 7, which fails validation.  One more
 line hashes ``engine.price_all`` of 5 spots x (call, put, butterfly) at the
 two large shapes of perfbench's ``deep`` workload (MA p = 8 at N2 = 200 and
 BJN at N2 = 1200, n1 = N2), where the sweep's live cone is narrower than the
@@ -115,12 +118,16 @@ SCANS = {  # command: (valid config, invalid config)
     "vol-scan": ("model = mb\np = 3\nA = 2\nvol_unit = 5\nvol_steps = 4\nK1 = 0.98\n",
                  "vol_unit = 5\nvol_steps = 2\nK = nan\n"),
 }
-MORE_SCANS = {  # label: further valid vol-scan config
-    "ma2-flat": "model = ma\np = 2\nallow_flat = true\nvol_unit = 5\nvol_steps = 4\n",
-    "bjn": "model = bjn\nvol_unit = 6\nvol_steps = 3\n",
-    "scan-shape": "model = mb\np = 3\nA = 2\nv0 = 0.0067\nvol_ref_steps = 120\nvol_unit = 15\n"
-                  "vol_steps = 6\nK = 1.0123\nK1 = 1.0123\nK2 = 1.1123\n",  # perfbench scan's vol job
+MORE_SCANS = {  # (command, label): further config
+    ("vol-scan", "valid-ma2-flat"): "model = ma\np = 2\nallow_flat = true\nvol_unit = 5\nvol_steps = 4\n",
+    ("vol-scan", "valid-bjn"): "model = bjn\nvol_unit = 6\nvol_steps = 3\n",
+    ("vol-scan", "valid-scan-shape"): "model = mb\np = 3\nA = 2\nv0 = 0.0067\nvol_ref_steps = 120\nvol_unit = 15\n"
+                                      "vol_steps = 6\nK = 1.0123\nK1 = 1.0123\nK2 = 1.1123\n",  # perfbench scan's vol job
 }
+ARB_SHAPE = ("model = ma\np = 3\nN2 = 60\nv0 = 0.0067\nK = 1\ns0_list = 0.85,0.93,1.0,1.07,1.15\n"
+             "fraction_list = 0,0.1,0.3\nseed = {}\n")  # perfbench scan's arbitrage job
+MORE_SCANS["arbitrage-scan", "valid-scan-shape-seed1"] = ARB_SHAPE.format(1)
+MORE_SCANS["arbitrage-scan", "invalid-scan-shape-seed7"] = ARB_SHAPE.format(7)  # not 0-neutral at (-60, 58)
 
 
 def rules():
@@ -300,10 +307,10 @@ def main() -> None:
                 h = Hasher()
                 run_cli(h, command, text, Path(tmp))
                 print(f"scan {command} {label} {h.h.hexdigest()}")
-        for label, text in MORE_SCANS.items():
+        for (command, label), text in MORE_SCANS.items():
             h = Hasher()
-            run_cli(h, "vol-scan", text, Path(tmp))
-            print(f"scan vol-scan valid-{label} {h.h.hexdigest()}")
+            run_cli(h, command, text, Path(tmp))
+            print(f"scan {command} {label} {h.h.hexdigest()}")
         h = Hasher()
         run_cli(h, "hedge-sim", HEDGE, Path(tmp))
         print(f"hedge-sim hedge {h.h.hexdigest()}")
