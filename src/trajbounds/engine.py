@@ -5,8 +5,8 @@ vertical line ``x = s_k`` over all chords joining one successor with price
 above ``s_k`` to one at or below it.  Each move scales the price by a factor
 that does not depend on the vertex, so one vectorized pair-combine takes that
 step for whole grid columns and band-lattice periods, all (up, down) pairs in
-one broadcast (the per-vertex hull step that checks it is in the tests'
-``reference`` module).  The hedge slope is the support slope of that value
+one broadcast, or one chord for one pair (the per-vertex hull step that checks
+it is in the tests' ``reference`` module).  The hedge slope is the support slope of that value
 nearest zero, so it superhedges every successor.  Upper and lower bounds come
 from one batched sweep over each column's live cone of the stacked rows
 ``[Z, -Z]``, which builds what a band list reads (windows, nested where they
@@ -73,10 +73,10 @@ def _pair_weights(dks, em1: dict) -> tuple:
     weights on a and on b, and the indices ``(i, r)`` of ``ups[i]``, ``downs[r]`` with b >= a."""
     downs = [d for d in dks if em1[d] <= 0]
     ups = [a for a in dks if em1[a] >= 0 and downs]
-    # Pair weights in Python floats: one IEEE division each.
-    w = np.array([[(-em1[b] / (em1[a] - em1[b]), em1[a] / (em1[a] - em1[b])) if b < a else (0.0, 0.0)
-                   for b in downs] for a in ups]).reshape(len(ups), len(downs), 2, 1, 1)
-    return ups, downs, w[:, :, 0], w[:, :, 1], list(zip(*np.nonzero(np.subtract.outer(ups, downs) <= 0)))
+    ea, eb = np.array([em1[a] for a in ups]).reshape(-1, 1), np.array([em1[b] for b in downs])
+    with np.errstate(invalid="ignore"):  # one IEEE division per weight; 0 / 0 only where a = b = 0: no pair
+        w = np.where(none := np.subtract.outer(ups, downs) <= 0, 0.0, [-eb / (ea - eb), ea / (ea - eb)])
+    return ups, downs, w[0, ..., None, None], w[1, ..., None, None], list(zip(*np.nonzero(none)))
 
 
 def _pair_combine(ys: dict, em1: dict, pairs: tuple | None = None) -> np.ndarray:
@@ -84,10 +84,15 @@ def _pair_combine(ys: dict, em1: dict, pairs: tuple | None = None) -> np.ndarray
 
     ``ys`` and ``em1`` map each move, which applies everywhere, to its successor values and
     its relative price change; ``pairs`` is their :func:`_pair_weights`, with at least one
-    up-move.  All pairs meet in one ``(ups, downs, lanes, width)`` broadcast and one max over
-    its pairs flattened in (up, down) order (``np.maximum`` keeps a zero's sign by position);
-    b >= a is no pair, so its row is the sentinel."""
+    up-move.  One up-move and one down-move give one chord, taken directly.  Otherwise all
+    pairs meet in one ``(ups, downs, lanes, width)`` broadcast and one max over its pairs
+    flattened in (up, down) order (``np.maximum`` keeps a zero's sign by position); b >= a
+    is no pair, so its row is the sentinel."""
     ups, downs, wa, wb, none = pairs or _pair_weights(tuple(ys), em1)
+    if wa.size == 1 and not none:  # the same arithmetic with no stack and no one-row reduce
+        v = wb.item() * ys[downs[0]]
+        v += wa.item() * ys[ups[0]]
+        return np.maximum(v, -_BIG, out=v)
     v = wb * np.array([ys[b] for b in downs])
     v += wa * np.array([ys[a] for a in ups])[:, None]
     for i, r in none:
@@ -133,8 +138,8 @@ def _window_maxima(rows: np.ndarray, wins: list) -> dict:
     win, inner = {}, None
     for lo, hi in wins:
         stop = inner[0] - 1 if inner and inner[1] == hi else hi
-        new = rows[lo - 1] if stop == lo else rows[lo - 1: stop].max(axis=0)
-        win[lo, hi] = new if stop == hi else np.maximum(new, win[inner])
+        new = rows[lo - 1] if stop == lo else np.maximum.reduce(rows[lo - 1: stop])
+        win[lo, hi] = new if stop == hi else np.maximum(new, win[inner], out=None if stop == lo else new)
         inner = lo, hi
     return win
 
@@ -155,11 +160,13 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
     there, a (lanes, 1) mask or True for all (by default every lane stops on ``spec.lam``).
     Only the next ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row
     j+d.  ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and the
-    D-1 rows still needed move up once every D columns.  :func:`_column_plan` splits a cut
-    list of :func:`column_moves` by mask into vertex classes (one if no band is masked), whose
-    windows :func:`_window_maxima` reads nested once per column; each class takes one
-    :func:`_pair_combine` of its own moves on its span, merged by :func:`_by_class`:
-    O((``max_dj`` + ups·downs) · width · lanes) floats.  A vertex is left NaN where it has no
+    D-1 rows still needed move up once every D columns; a row is reset only where the column
+    it last held was live beyond the one written.  :func:`_column_plan` splits a cut list of
+    :func:`column_moves` by mask into vertex classes (one if no band is masked), whose windows
+    :func:`_window_maxima` reads nested once per column (once per row position and swept width
+    where each window is one buffer row and no dk merges: the reads are then views of ``buf``);
+    each class takes one :func:`_pair_combine` of its own moves on its span, merged by
+    :func:`_by_class`: O((``max_dj`` + ups·downs) · width · lanes) floats.  A vertex is left NaN where it has no
     finite local optimum: it is not 0-neutral, it has no move and sits off every liquidation
     column, or one of its successors is NaN.
     """
@@ -168,7 +175,7 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
     stops = dict.fromkeys(spec.lam, True) if stops is None else stops
     pmax, D = rule.p, min(rule.max_dj, n2)
     em1 = {dk: math.expm1(dk * spec.delta) for dk in range(-pmax, pmax + 1)}
-    moves, columns, plans, weights = column_moves(spec, rule), {}, {}, {}
+    moves, columns, plans, weights, reads = column_moves(spec, rule), {}, {}, {}, {}
     live = _live_cone(moves, grid.half_widths.tolist()) if reach else grid.half_widths.tolist()
 
     # Off-cone entries hold the sentinel, so window maxima ignore them, as do
@@ -183,30 +190,41 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
         w, s = live[j], min(c, -(-live[j] // 16) * 16)  # live and swept half-widths
         cone = slice(n1 - s, n1 + s + 1)
         if id(bands) not in columns:
-            columns[id(bands)] = _column_plan(bands, D, rule.max_dj, em1, plans, weights)
-        col, wins = columns[id(bands)]
-        win = _window_maxima(buf[pos:, :, c - s: c + s + 2 * pmax + 1], wins)
-        classes, Cs, shape = [], [], (len(Z), 2 * s + 1)
-        for mask, kept, pairs in col:
-            on = (0, 2 * s) if mask is None else np.flatnonzero(mask := mask[cone])
-            if not len(on):
-                continue  # no swept vertex in this class
-            a, b = int(on[0]), int(on[-1]) + 1  # the class's span of the cone
-            ys: dict[int, np.ndarray] = {}  # window maxima per dk, same-dk bands merged by max
-            for dk, wk in kept:
-                y = win[wk][:, pmax + dk + a: pmax + dk + b]
-                ys[dk] = np.maximum(ys[dk], y) if dk in ys else y
-            C = _pair_combine(ys, em1, pairs) if pairs[0] else np.full((len(Z), b - a), -_BIG)
+            # Its reads are views of buffer rows if every window is one row and no dk merges.
+            col, wins = _column_plan(bands, D, rule.max_dj, em1, plans, weights)
+            columns[id(bands)] = col, wins, all(lo == hi for lo, hi in wins) and all(
+                len(kept) == len({dk for dk, _ in kept}) for _, kept, _ in col)
+        col, wins, views = plan = columns[id(bands)]
+        got = reads.get((id(plan), pos, s))
+        if got is None:
+            win = _window_maxima(buf[pos:, :, c - s: c + s + 2 * pmax + 1], wins)
+            got = [], []  # the classes with a swept vertex, and their pairs
+            for mask, kept, pairs in col:
+                on = (0, 2 * s) if mask is None else np.flatnonzero(mask := mask[cone])
+                if not len(on):
+                    continue  # no swept vertex in this class
+                a, b = int(on[0]), int(on[-1]) + 1  # the class's span of the cone
+                ys: dict[int, np.ndarray] = {}  # window maxima per dk, same-dk bands merged by max
+                for dk, wk in kept:
+                    y = win[wk][:, pmax + dk + a: pmax + dk + b]
+                    ys[dk] = np.maximum(ys[dk], y) if dk in ys else y
+                got[0].append((mask if mask is None else mask[a:b], slice(a, b), ys))
+                got[1].append(pairs)
+            if views:  # the same views for the same row position and swept width
+                reads[id(plan), pos, s] = got
+        classes, Cs, shape = got[0], [], (len(Z), 2 * s + 1)
+        for (_, at, ys), pairs in zip(*got):
+            C = _pair_combine(ys, em1, pairs) if pairs[0] else np.full((len(Z), at.stop - at.start), -_BIG)
             if 0 in ys:
                 # Flat moves only: the degenerate hull takes the best flat value.
                 C = np.where(C <= _INVALID, ys[0], C)
-            classes.append((mask if mask is None else mask[a:b], slice(a, b), ys))
             Cs.append(C)
         C = _by_class(classes, Cs, -_BIG, shape)
-        C[:, : s - w] = C[:, s + w + 1:] = np.nan  # not vertices: never stuck, never stopped
+        if s > w:
+            C[:, : s - w] = C[:, s + w + 1:] = np.nan  # not vertices: never stuck, never stopped
 
-        ok = C > _INVALID
-        V = np.where(ok, C, np.nan)
+        V = C.copy()
+        np.copyto(V, np.nan, where=C <= _INVALID)  # C's NaN is np.nan's
         stop = lanes = stops.get(j)
         if lanes is not None:
             # Forced liquidation where no move of the vertex's class is left (a NaN
@@ -224,8 +242,12 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
             buf[D + 1:] = buf[: D - 1]
             pos = D + 1
         pos -= 1
-        buf[pos] = -_BIG  # no stale value outside the live slice
-        buf[pos, :, c - w + pmax: c + w + pmax + 1] = V[:, s - w: s + w + 1]
+        # Row pos last held column j + D + 1, live on |k| <= wo: reset its part outside this
+        # column's live slice (live widths never shrink as j grows).
+        lo, hi, wo = c - w + pmax, c + w + pmax + 1, live[min(j + D + 1, n2)]
+        if wo > w:
+            buf[pos, :, lo - wo + w: lo] = buf[pos, :, hi: hi + wo - w] = -_BIG
+        buf[pos, :, lo: hi] = V[:, s - w: s + w + 1]
 
 
 def _support_slopes(C: np.ndarray, classes: list, prices: np.ndarray, delta: float, stop) -> np.ndarray:

@@ -17,8 +17,7 @@ class Grid:
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n1, n2 = spec.n1, spec.n2
-        self.half_widths = np.array(
-            [spec.column_half_width(j) for j in range(n2 + 1)], dtype=np.int64)
+        self.half_widths = np.minimum(n1, spec.p * np.arange(n2 + 1, dtype=np.int64))  # spec.column_half_width(j)
         self.n_vertices = int((2 * self.half_widths + 1).sum())
         # One exp per price level; every consumer reads from this array.
         self.prices = np.array([spec.price(k) for k in range(-n1, n1 + 1)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -304,6 +305,7 @@ class ModifiedRule(TransitionRule):
     seed: int
 
     kind = "MODIFIED"
+    _pools = {}  # id(base rule) -> (grid shape, read-only pool) of its latest shape, dropped with it
 
     def __post_init__(self):
         if not (0.0 <= self.fraction <= 1.0):
@@ -323,8 +325,16 @@ class ModifiedRule(TransitionRule):
         return self.p ** 2
 
     def _drawn(self, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Rows j and columns k + n1 of the selected vertices, in draw order."""
-        js, iis = np.nonzero(reachable_masks(spec, self.base)[:spec.n2])
+        """Rows j and columns k + n1 of the selected vertices, in draw order.  The base rule's pass
+        reads only the grid shape: one base rule object's injected rules share it (``arbitrage-scan``)."""
+        shape, got = (spec.n1, spec.n2, spec.p), self._pools.get(id(self.base))
+        if got is None or got[0] != shape:
+            if got is None:
+                weakref.finalize(self.base, self._pools.pop, id(self.base), None)
+            got = self._pools[id(self.base)] = shape, np.nonzero(reachable_masks(spec, self.base)[:spec.n2])
+            for a in got[1]:
+                a.flags.writeable = False
+        js, iis = got[1]
         order = np.random.default_rng(self.seed).permutation(len(js))[:int(round(self.fraction * len(js)))]
         return js[order], iis[order]
 

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from trajbounds import charts, engine, hedge
+from trajbounds import charts, engine, hedge, model
 from trajbounds.cli import (ConfigError, ExperimentConfig, build_payoff, build_rule,
                             build_spec, cmd_hedge_sim, main)
 from trajbounds.grid import build_grid
@@ -347,6 +347,15 @@ class TestCommands:
         rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()[1:]
         assert len(calls) == sweeps
         assert sum(calls) == 2 * len(rows) // horizons  # one [Z, -Z] lane pair per CSV row and horizon
+
+    def test_arbitrage_scan_reaches_base_once(self, tmp_path, monkeypatch):
+        # Every injected fraction draws from the one base reachability of the grid shape.
+        reach, calls = model.reachable_masks, []
+        monkeypatch.setattr(model, "reachable_masks", lambda spec, rule: calls.append(rule) or reach(spec, rule))
+        text = "model = ma\np = 3\nN2 = 20\nv0 = 0.0067\nseed = 1\nfraction_list = 0,0.1,0.3\n"
+        assert main(["arbitrage-scan", "--config", write_cfg(tmp_path / "a.cfg", text),
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_vol_scan_convex_upper_equality(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg",

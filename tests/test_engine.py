@@ -636,7 +636,7 @@ class TestPairCombine:
     MA8 = tuple(dict.fromkeys(dk for dk, _, _ in MARule(8).bands()))  # 8 x 8 = 64 pairs
 
     @pytest.mark.parametrize("keys", [(0, -1, 1), (-2, -1, 0, 1, 2), (2, -1, 0, -2, 1), (-3, 3, -1, 2, 1),
-                                      (2, -5), MA8, MA8 + (0,)])
+                                      (2, -5), MA8, MA8 + (0,), (-1, 1), (1, -1)])
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_equals_pair_loop_bitwise(self, keys, seed):
         # Zero signs, NaN and sentinels drawn often, so ties and their order
@@ -646,7 +646,7 @@ class TestPairCombine:
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, -0.0, math.nan, -1e300, 0.25, -0.5, 1.0])
         em1 = {d: math.expm1(0.05 * d) for d in keys}
-        for shape in ((3, 17), (6, 5)):  # (lanes, width)
+        for shape in ((3, 17), (6, 5), (10, 33)):  # (lanes, width)
             ys = {d: rng.choice(pool, size=shape) for d in keys}
             want = np.full(shape, -1e300)
             pair_combine_by_pairs(want, ys, em1)
@@ -803,6 +803,25 @@ class TestYieldedContinuation:
                     want = ys[0][:, at[span]] if 0 in ys else np.full_like(lone, -1e300)
                     assert (np.isnan(lone) | (lone == want)).all(), j
             assert (np.isnan(C[:, ~covered]) | (C[:, ~covered] == -1e300)).all(), j
+
+
+class TestSweptCone:
+    """Each column is swept on its live cone widened to a multiple of 16 rows; the
+    widened rows are not vertices, so ``C`` is NaN exactly there on grids whose
+    live vertices are all priced."""
+
+    @pytest.mark.parametrize("rule, n2", [(MARule(8), 200), (bjn_rule(), 300)], ids=["ma8", "bjn"])
+    def test_nan_exactly_on_swept_rows_off_live_cone(self, rule, n2):
+        spec = spec_from_total_variance(rule, 1.0, V0, n2)
+        grid = build_grid(spec)
+        live = engine._live_cone(column_moves(spec, rule), grid.half_widths.tolist())
+        Z = engine._terminal_rows(CALL, grid.prices.tolist(), -spec.n1)
+        kinds = set()
+        for j, cone, _, _, C, _ in engine._sweep_banded(grid, rule, Z, reach=True):
+            off = np.abs(np.arange(cone.start, cone.stop) - spec.n1) > live[j]
+            assert (np.isnan(C) == off).all(), j
+            kinds.add(bool(off.any()))
+        assert kinds == {False, True}  # columns swept as wide as their live cone, and wider
 
 
 class TestLiveCone:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from trajbounds.engine import compute_bounds, inject_arbitrage
@@ -27,6 +28,13 @@ class TestBuildGrid:
         grid = build_grid(spec)
         expected = sum(2 * min(300, 3 * j) + 1 for j in range(201))
         assert grid.n_vertices == expected
+
+    @pytest.mark.parametrize("p, n1, n2", [(1, 1, 1), (1, 1200, 1200), (3, 300, 200), (8, 16, 200), (2, 5, 40)])
+    def test_half_widths_are_column_half_widths(self, p, n1, n2):
+        spec = unit_spec(p, n1, n2)
+        got = build_grid(spec).half_widths
+        assert got.dtype == np.int64
+        assert got.tolist() == [spec.column_half_width(j) for j in range(n2 + 1)]
 
     def test_rejects_invalid_spec(self):
         with pytest.raises(ValueError):
