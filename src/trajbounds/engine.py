@@ -9,8 +9,8 @@ one broadcast, or one chord for one pair (the per-vertex hull step that checks
 it is in the tests' ``reference`` module).  The hedge slope is the support slope of that value
 nearest zero, so it superhedges every successor.  Upper and lower bounds come
 from one batched sweep over each column's live cone of the stacked rows
-``[Z, -Z]``, which builds what a band list reads (windows, nested where they
-share their last row, and pair weights) once per sweep as a plan per vertex class, and holds
+``[Z, -Z]``, which builds what a vertex class's bands read (windows, nested where they
+share their last row, and pair weights) once per sweep as the class's plan, and holds
 O((``max_dj`` + ups·downs) · width · lanes) floats per column:
 ``compute_bounds`` keeps full surfaces, ``price_horizons`` only the roots of many
 ``(s0, payoff[, lam])`` points, as lanes that each stop on their own
@@ -101,24 +101,22 @@ def _pair_combine(ys: dict, em1: dict, pairs: tuple | None = None) -> np.ndarray
     return np.maximum(m, -_BIG, out=m)
 
 
-def _sweep_plan(bands: list, em1: dict, weights: dict) -> tuple:
+def _sweep_plan(bands: tuple, em1: dict, weights: dict) -> tuple:
     """``(dk, window)`` per band of one vertex class's cut ``bands``, and their :func:`_pair_weights`."""
     dks = tuple(dict.fromkeys(dk for dk, _, _ in bands))
     pairs = weights.get(dks) or weights.setdefault(dks, _pair_weights(dks, em1))
     return [(dk, (lo, hi)) for dk, lo, hi in bands], pairs
 
 
-def _column_plan(bands: list, D: int, max_dj: int, em1: dict, plans: dict, weights: dict) -> tuple:
-    """The vertex classes of the cut list ``bands``, each ``(mask or None, *plan)`` with the
+def _column_plan(classes: list, D: int, max_dj: int, em1: dict, plans: dict, weights: dict) -> tuple:
+    """The cut vertex ``classes`` of a column, each ``(mask or None, *plan)`` with the
     :func:`_sweep_plan` of its bands, and all classes' distinct windows by ``hi``, shortest first."""
-    classes = {}
-    for dk, lo, hi, mask in bands:
+    for dk, lo, hi in (band for _, bands in classes for band in bands):
         if lo < 1 or hi > D:  # the buffer holds rows j+1 .. j+D only
             raise ValueError(f"band {(dk, lo, hi)} leaves 1 <= dj <= max_dj={max_dj}")
-        classes.setdefault(id(mask), (mask, []))[1].append((dk, lo, hi))
-    classes = [(mask, *(plans.get(key := tuple(cut)) or plans.setdefault(key, _sweep_plan(cut, em1, weights))))
-               for mask, cut in classes.values()]
-    return classes, sorted({w for _, kept, _ in classes for _, w in kept}, key=lambda w: (w[1], -w[0]))
+    col = [(mask, *(plans.get(bands) or plans.setdefault(bands, _sweep_plan(bands, em1, weights))))
+           for mask, bands in classes]
+    return col, sorted({w for _, kept, _ in col for _, w in kept}, key=lambda w: (w[1], -w[0]))
 
 
 def _by_class(classes: list, rows: list, fill, shape: tuple) -> np.ndarray:
@@ -161,12 +159,12 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
     Only the next ``D = min(max_dj, n2)`` rows are kept, by distance: ``buf[pos+d-1]`` is row
     j+d.  ``buf`` holds 2D rows, so each window stays one slice read in ascending d, and the
     D-1 rows still needed move up once every D columns; a row is reset only where the column
-    it last held was live beyond the one written.  :func:`_column_plan` splits a cut list of
-    :func:`column_moves` by mask into vertex classes (one if no band is masked), whose windows
-    :func:`_window_maxima` reads nested once per column (once per row position and swept width
-    where each window is one buffer row and no dk merges: the reads are then views of ``buf``);
-    each class takes one :func:`_pair_combine` of its own moves on its span, merged by
-    :func:`_by_class`: O((``max_dj`` + ups·downs) · width · lanes) floats.  A vertex is left NaN where it has no
+    it last held was live beyond the one written.  :func:`_column_plan` plans each vertex class
+    of a cut list of :func:`column_moves` once, and their windows :func:`_window_maxima` reads
+    nested once per column (once per row position and swept width where each window is one
+    buffer row and no dk merges: the reads are then views of ``buf``); each class takes one
+    :func:`_pair_combine` of its own moves on its span, merged by :func:`_by_class`:
+    O((``max_dj`` + ups·downs) · width · lanes) floats.  A vertex is left NaN where it has no
     finite local optimum: it is not 0-neutral, it has no move and sits off every liquidation
     column, or one of its successors is NaN.
     """
@@ -186,15 +184,15 @@ def _sweep_banded(grid: Grid, rule: TransitionRule, Z: np.ndarray, reach: bool, 
     pos = D
     buf[pos, :, pmax: pmax + 2 * c + 1] = Z[:, n1 - c: n1 + c + 1]
 
-    for j, bands in zip(range(n2 - 1, -1, -1), moves[::-1]):
+    for j, cut in zip(range(n2 - 1, -1, -1), moves[::-1]):
         w, s = live[j], min(c, -(-live[j] // 16) * 16)  # live and swept half-widths
         cone = slice(n1 - s, n1 + s + 1)
-        if id(bands) not in columns:
+        if id(cut) not in columns:
             # Its reads are views of buffer rows if every window is one row and no dk merges.
-            col, wins = _column_plan(bands, D, rule.max_dj, em1, plans, weights)
-            columns[id(bands)] = col, wins, all(lo == hi for lo, hi in wins) and all(
+            col, wins = _column_plan(cut, D, rule.max_dj, em1, plans, weights)
+            columns[id(cut)] = col, wins, all(lo == hi for lo, hi in wins) and all(
                 len(kept) == len({dk for dk, _ in kept}) for _, kept, _ in col)
-        col, wins, views = plan = columns[id(bands)]
+        col, wins, views = plan = columns[id(cut)]
         got = reads.get((id(plan), pos, s))
         if got is None:
             win = _window_maxima(buf[pos:, :, c - s: c + s + 2 * pmax + 1], wins)
@@ -282,7 +280,7 @@ def _priced(spec: GridSpec, rule: TransitionRule, roots: list) -> list:
 def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
     """Fill upper/lower bounds and hedge slopes over the whole grid.
 
-    The rule must expose column bands.  The payoff is read once, as the
+    The rule must expose column classes.  The payoff is read once, as the
     terminal row ``Z``; one banded pass over the stacked rows ``[Z, -Z]``
     gives the upper bound and the negated lower bound by the same code path.
     Since the upper sweep takes max(payoff, continuation) on intermediate
@@ -308,11 +306,11 @@ def compute_bounds(grid: Grid, rule: TransitionRule, payoff) -> BoundsGrid:
 
 
 def _live_cone(moves: list, half_widths: list[int]) -> list[int]:
-    """Half-width of each column's cone reachable from the root, by the cut band table ``moves``:
+    """Half-width of each column's cone reachable from the root, by the cut class table ``moves``:
     each move has |dk| <= a/b * dj, a/b the largest |dk|/lo of any band (the sweep rejects
     lo < 1; floats order such ratios exactly), so reachable |k| <= a*j // b."""
-    lists = {id(bands): bands for bands in moves}.values()
-    a, b = max({(abs(dk), max(lo, 1)) for bands in lists for dk, lo, _, _ in bands},
+    lists = {id(classes): classes for classes in moves}.values()
+    a, b = max({(abs(dk), max(lo, 1)) for classes in lists for _, bands in classes for dk, lo, _ in bands},
                key=lambda r: r[0] / r[1], default=(0, 1))
     return [min(w, a * j // b) for j, w in enumerate(half_widths)]
 
@@ -334,7 +332,7 @@ def price_horizons(spec: GridSpec, rule: TransitionRule, points, horizons) -> li
     if not all(1 <= h <= n2 for h in horizons):
         raise ValueError(f"horizons must lie in 1..n2={n2}, got {list(horizons)}")
     if min(horizons) < n2:
-        if type(rule).column_bands is not TransitionRule.column_bands:
+        if type(rule).column_classes is not TransitionRule.column_classes:
             raise ValueError(f"horizons below n2={n2} need a rule whose bands serve every column")
         reach = _live_cone(column_moves(spec, rule)[:1], [math.inf] * n2)  # column 0 has every band
         if clipped := [h for h in horizons if h < n2 and reach[h] > min(spec.n1, spec.p * h)]:

@@ -59,15 +59,15 @@ def sample_trajectories(rule: TransitionRule, grid: Grid, seeds: Iterable[int]) 
         key = id(lists[j])
         if key not in tables:
             # The moves in reachable's order, by dj and then by band (dk, lo, hi), and
-            # where each move's band applies (None: everywhere).
-            bands = sorted(lists[j], key=lambda b: b[:3])
+            # where each move's class applies (None: everywhere).
+            bands = sorted([(*band, m) for m, bs in lists[j] for band in bs], key=lambda b: b[:3])
             moves = sorted((dj, b, dk) for b, (dk, lo, hi, _) in enumerate(bands) for dj in range(lo, hi + 1))
             dj, band, dk = np.array(moves, dtype=np.int64).reshape(-1, 3).T
             masks = None if all(m is None for *_, m in bands) else np.array(
                 [np.ones(spec.width, bool) if m is None else m for *_, m in bands])[band]
             tables[key] = dj, dk, dj.tolist(), dk.tolist(), masks
         dj, dk, djs, dks, masks = tables[key]
-        # A move is open at a walker's vertex where its band applies and it stays in the grid.
+        # A move is open at a walker's vertex where its class applies and it stays in the grid.
         ks = np.array([path[-1][0] for path, _ in walkers])
         is_open = np.abs(ks + dk[:, None]) <= grid.half_widths[j + dj][:, None]
         if masks is not None:

@@ -9,8 +9,10 @@ a vertex; every rule here expresses admissibility as a per-``dk`` window of
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,8 +23,8 @@ import numpy as np
 Vertex = tuple[int, int]
 # (dk, dj_lo, dj_hi): moves to (k + dk, j + dj) are admissible for dj_lo <= dj <= dj_hi.
 Band = tuple[int, int, int]
-# (dk, dj_lo, dj_hi, mask): a band that applies only where the column's mask row is set.
-MaskedBand = tuple[int, int, int, Optional[np.ndarray]]
+# (mask, bands): one vertex class of a column, where its full-width boolean row is set (None: everywhere).
+VertexClass = tuple[Optional[np.ndarray], tuple[Band, ...]]
 
 
 class NodeClass(Enum):
@@ -74,14 +76,15 @@ class GridSpec:
     lam: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(int(x) for x in self.lam))
+        object.__setattr__(self, "lam", tuple([_integer("each lam entry", x) for x in self.lam]))
         if self.s0 <= 0.0:
             raise ValueError("s0 must be positive")
         if self.delta <= 0.0 or self.beta <= 0.0:
             raise ValueError("delta and beta must be positive")
         for name in ("p", "n1", "n2"):
-            if int(getattr(self, name)) < 1:
+            if (x := _integer(name, getattr(self, name))) < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
+            object.__setattr__(self, name, x)
         if not self.lam:
             raise ValueError("lam must be non-empty")
         if any(b <= a for a, b in zip(self.lam, self.lam[1:])):
@@ -115,6 +118,14 @@ class GridSpec:
 
     def in_grid(self, k: int, j: int) -> bool:
         return 0 <= j <= self.n2 and abs(k) <= self.column_half_width(j)
+
+
+def _integer(name: str, x) -> int:
+    """``x`` as an int where it is an integer (numpy's too) and not a bool, else ``ValueError``."""
+    if not isinstance(x, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(x)
+    raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
 
 
 def spec_for_rule(
@@ -154,9 +165,9 @@ class TransitionRule:
     """Base for band-structured transition rules.
 
     Subclasses must provide ``p`` (max |dk|), ``max_dj`` and either
-    vertex-independent :meth:`bands` or an override of :meth:`column_bands`,
-    the one statement of a rule's moves: the column passes read its masked
-    bands, and :func:`reachable` reads their view at one vertex,
+    vertex-independent :meth:`bands` or an override of :meth:`column_classes`,
+    the one statement of a rule's moves: the column passes read its vertex
+    classes, and :func:`reachable` reads the class of one vertex,
     :meth:`bands_at`.
     """
 
@@ -174,18 +185,14 @@ class TransitionRule:
         """Bands shared by every vertex, for rules that do not vary by vertex."""
         raise NotImplementedError
 
-    def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
-        """Every band of column j, with the boolean row (full width) of the
-        vertices it applies to.  The masks partition the column into vertex
-        classes: bands of one class share one mask row object, and a ``None``
-        mask means the whole column, which is then the only class."""
-        return [(dk, lo, hi, None) for dk, lo, hi in self.bands()]
+    def column_classes(self, spec: GridSpec, j: int) -> list[VertexClass]:
+        """The vertex classes of column j, each ``(mask, bands)``: the masks partition
+        the column, and a ``None`` mask means the whole column, which is then the only class."""
+        return [(None, self.bands())]
 
     def bands_at(self, spec: GridSpec, k: int, j: int) -> tuple[Band, ...]:
-        """The bands of ``column_bands(spec, j)`` that apply at in-grid vertex (k, j)."""
-        i = k + spec.n1
-        return tuple([(dk, lo, hi) for dk, lo, hi, mask in self.column_bands(spec, j)
-                      if mask is None or mask[i]])
+        """The bands of the class of ``column_classes(spec, j)`` that holds in-grid vertex (k, j)."""
+        return next(bands for mask, bands in self.column_classes(spec, j) if mask is None or mask[k + spec.n1])
 
 
 @functools.cache
@@ -342,9 +349,9 @@ class ModifiedRule(TransitionRule):
         js, iis = self._drawn(spec)
         return frozenset(zip((iis - spec.n1).tolist(), js.tolist()))
 
-    def column_bands(self, spec: GridSpec, j: int) -> list[MaskedBand]:
+    def column_classes(self, spec: GridSpec, j: int) -> list[VertexClass]:
         # Base reachability reads only the grid shape, so specs that differ in
-        # s0, delta, beta or lam share one selection: the bands of every column
+        # s0, delta, beta or lam share one selection: the classes of every column
         # are built once per shape (one list for all columns with no selected
         # vertex), and callers must not mutate them.
         cache = self._cache  # type: ignore[attr-defined]
@@ -356,13 +363,12 @@ class ModifiedRule(TransitionRule):
             ks = np.arange(-spec.n1, spec.n1 + 1)
             rest, pos, neg = ~sel, sel & (ks >= 0), sel & (ks < 0)
             # Arbitrage moves: down or flat where k >= 0, up or flat where k < 0.
-            p, top, base = self.p, self.max_dj, self.base.column_bands(spec, 0)
-            got = [[(dk, lo, hi, r) for dk, lo, hi in self.base.bands()]
-                   + [(dk, 1, top, po) for dk in range(-p, 1)]
-                   + [(dk, 1, top, ne) for dk in range(0, p + 1)]
-                   if any_sel else base
-                   for r, po, ne, any_sel in zip(rest, pos, neg, sel.any(axis=1).tolist())]
-            cache[key] = got
+            p, top, base = self.p, self.max_dj, self.base.bands()
+            down = tuple((dk, 1, top) for dk in range(-p, 1))
+            up = tuple((dk, 1, top) for dk in range(0, p + 1))
+            whole = [(None, base)]
+            got = cache[key] = [[(r, base), (po, down), (ne, up)] if any_sel else whole
+                                for r, po, ne, any_sel in zip(rest, pos, neg, sel.any(axis=1).tolist())]
         return got[j]
 
 
@@ -414,23 +420,26 @@ def _class_codes(up, dn, flat):
 # Vectorized column machinery (shared with the engine sweep)
 # --------------------------------------------------------------------------- #
 
-def column_moves(spec: GridSpec, rule: TransitionRule) -> list[list[MaskedBand]]:
-    """``rule.column_bands(spec, j)`` of each column j < n2, each dj window cut at the last
-    column (``hi <= n2 - j``) and empty bands dropped.  Columns with one band list share
-    one cut list while their cut is the same (past the largest ``hi``, a cut changes
+def column_moves(spec: GridSpec, rule: TransitionRule) -> list[list[VertexClass]]:
+    """``rule.column_classes(spec, j)`` of each column j < n2, each dj window cut at the last
+    column (``hi <= n2 - j``), then empty bands and classes dropped.  Columns with one class
+    list share one cut list while their cut is the same (past the largest ``hi``, a cut changes
     nothing), so callers may key on its ``id``; they must not mutate it."""
     n2 = spec.n2
-    if type(rule).column_bands is TransitionRule.column_bands:  # bands() serve every column
-        lists = [rule.column_bands(spec, 0)] * n2
+    if type(rule).column_classes is TransitionRule.column_classes:  # bands() serve every column
+        lists = [rule.column_classes(spec, 0)] * n2
     else:
-        lists = [rule.column_bands(spec, j) for j in range(n2)]
-    H = max((hi for bands in {id(b): b for b in lists}.values() for _, _, hi, _ in bands), default=0)
+        lists = [rule.column_classes(spec, j) for j in range(n2)]
+    H = max((hi for c in {id(c): c for c in lists}.values() for _, bands in c for _, _, hi in bands), default=0)
     cut, moves = {}, []  # keyed by the id of a list in ``lists``, which keeps it alive
-    for top, bands in zip(range(n2, 0, -1), lists):
-        key = id(bands), top if top < H else H
+    for top, classes in zip(range(n2, 0, -1), lists):
+        key = id(classes), top if top < H else H
         got = cut.get(key)
         if got is None:
-            got = cut[key] = [(dk, lo, min(hi, top), mask) for dk, lo, hi, mask in bands if lo <= hi and lo <= top]
+            # tuple() of a list, sized once: CPython resizes a tuple built from a generator, and parks
+            # each freed one on its length's free list, which resized tuples never draw from.
+            got = cut[key] = [(mask, kept) for mask, bands in classes if (kept := tuple([
+                (dk, lo, min(hi, top)) for dk, lo, hi in bands if lo <= hi and lo <= top]))]
         moves.append(got)
     return moves
 
@@ -438,7 +447,7 @@ def column_moves(spec: GridSpec, rule: TransitionRule) -> list[list[MaskedBand]]
 def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     """Boolean (n2+1, width) array: vertices reachable from (0, 0).
 
-    Each band of a source column adds its row, shifted by dk, to a difference
+    Each band of a source column adds its class's row, shifted by dk, to a difference
     array over j at the first column of its dj window and subtracts it one past
     the last, so a running sum counts the moves landing on each later vertex.
     Its rows carry ``rule.p`` zero columns on each side, where moves off the grid land.
@@ -449,19 +458,20 @@ def reachable_masks(spec: GridSpec, rule: TransitionRule) -> np.ndarray:
     reach[0, n1] = True
     diff = np.zeros((n2 + 2, w + 2 * pad), dtype=np.int32)
     hits = np.zeros(w, dtype=np.int32)
-    for j, moves in enumerate(column_moves(spec, rule)):
+    for j, classes in enumerate(column_moves(spec, rule)):
         if reach[j].any():
-            for dk, lo, hi, mask in moves:
+            for mask, bands in classes:
                 src = reach[j] if mask is None else (reach[j] & mask)
-                diff[j + lo, pad + dk: pad + dk + w] += src
-                diff[j + hi + 1, pad + dk: pad + dk + w] -= src
+                for dk, lo, hi in bands:
+                    diff[j + lo, pad + dk: pad + dk + w] += src
+                    diff[j + hi + 1, pad + dk: pad + dk + w] -= src
         hits += diff[j + 1, pad: pad + w]
         reach[j + 1] = (hits > 0) & (np.abs(ks) <= spec.column_half_width(j + 1))
     return reach
 
 
-def _successor_flags(spec: GridSpec, j: int, moves: list[MaskedBand]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(has_up, has_dn, has_flat) boolean rows for column j < n2 and its cut list ``moves``.
+def _successor_flags(spec: GridSpec, j: int, classes: list[VertexClass]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(has_up, has_dn, has_flat) boolean rows for column j < n2 and its cut classes.
 
     A move along band (dk, lo, hi) exists at k iff k + dk lies in the cone of
     column j + hi: the cone widens with j, so the window's last column decides.
@@ -469,9 +479,10 @@ def _successor_flags(spec: GridSpec, j: int, moves: list[MaskedBand]) -> tuple[n
     ks = np.arange(-spec.n1, spec.n1 + 1)
     # One flag row per sign of dk: index 1 up, -1 down, 0 flat.
     flags = np.zeros((3, spec.width), dtype=bool)
-    for dk, lo, hi, mask in moves:
-        ok = np.abs(ks + dk) <= spec.column_half_width(j + hi)
-        flags[(dk > 0) - (dk < 0)] |= ok if mask is None else (ok & mask)
+    for mask, bands in classes:
+        for dk, lo, hi in bands:
+            ok = np.abs(ks + dk) <= spec.column_half_width(j + hi)
+            flags[(dk > 0) - (dk < 0)] |= ok if mask is None else (ok & mask)
     return flags[1], flags[-1], flags[0]
 
 
@@ -542,10 +553,10 @@ def validate_model(spec: GridSpec, rule: TransitionRule) -> ValidationReport:
     """
     reach = reachable_masks(spec, rule)
     codes = np.full(reach.shape, -1, dtype=np.int8)
-    for j, moves in enumerate(column_moves(spec, rule)):
+    for j, classes in enumerate(column_moves(spec, rule)):
         if not reach[j].any():
             continue
-        up, dn, fl = _successor_flags(spec, j, moves)
+        up, dn, fl = _successor_flags(spec, j, classes)
         cls = _class_codes(up, dn, fl)
         if j in spec.lam:
             cls[~(up | dn | fl)] = -1  # no move on a liquidation column: a stop

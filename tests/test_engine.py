@@ -668,9 +668,9 @@ class TestWindowMaxima:
         rng = np.random.default_rng(seed)
         pool = np.array([0.0, -0.0, math.nan, -math.nan, 1e300, -1e300, 0.25, -0.5, 1.0])
         buf = rng.choice(pool, size=(rule.max_dj, 3, 17))
-        bands = [(dk, lo, min(hi, top), None) for dk, lo, hi in rule.bands() if lo <= min(hi, top)]
+        bands = tuple((dk, lo, min(hi, top)) for dk, lo, hi in rule.bands() if lo <= min(hi, top))
         em1 = {d: math.expm1(0.05 * d) for d in range(-rule.p, rule.p + 1)}
-        _, wins = engine._column_plan(bands, rule.max_dj, rule.max_dj, em1, {}, {})
+        _, wins = engine._column_plan([(None, bands)], rule.max_dj, rule.max_dj, em1, {}, {})
         got = engine._window_maxima(buf, wins)
         assert set(got) == {(lo, min(hi, top)) for _, lo, hi in rule.bands() if lo <= min(hi, top)}
         for (lo, hi), y in got.items():
@@ -797,7 +797,8 @@ class TestYieldedContinuation:
                 assert at[span.start] and at[span.stop - 1] and not (covered & at).any(), j
                 assert all(y.shape == (len(Z), span.stop - span.start) for y in ys.values()), j
                 covered |= at
-                assert set(ys) == {dk for dk, _, _, m in moves[j] if m is None or m[cone][at].all()}, j
+                assert set(ys) == {dk for m, bands in moves[j] if m is None or m[cone][at].all()
+                                   for dk, _, _ in bands}, j
                 if not any(b < a for a in ys if a >= 0 for b in ys if b <= 0):
                     lone = C[:, at]
                     want = ys[0][:, at[span]] if 0 in ys else np.full_like(lone, -1e300)
@@ -841,7 +842,7 @@ class TestLiveCone:
         except ModelValidationError:
             pass
         (live,) = seen
-        assert len(built) == 1  # one cut band table per sweep
+        assert len(built) == 1  # one cut class table per sweep
         return np.array(live)
 
     def test_reachable_vertices_inside_live_widths(self, monkeypatch):

@@ -50,6 +50,16 @@ class TestGridSpec:
             with pytest.raises(ValueError, match="beta must be finite"):
                 GridSpec(1.0, 0.01, beta, 1, 5, 5, lam=(5,))
 
+    @pytest.mark.parametrize("field, value", [("lam", (2.7, 4)), ("lam", (True, 4)), ("n1", 2.5), ("n1", True),
+                                              ("p", True), ("n2", np.float64(4.0))], ids=repr)
+    def test_rejects_non_integer_sizes(self, field, value):
+        # int() would truncate 2.7 to 2 and take True for 1; numpy integers are read as ints.
+        sizes = dict(p=1, n1=4, n2=4, lam=(2, 4))
+        with pytest.raises(ValueError, match="must be an integer >= 1, got"):
+            GridSpec(1.0, 0.01, 0.01, **{**sizes, field: value})
+        spec = GridSpec(1.0, 0.01, 0.01, np.int64(1), np.int32(4), np.int64(4), (np.int64(2), 4))
+        assert spec == GridSpec(1.0, 0.01, 0.01, **sizes) and type(spec.n1) is type(spec.lam[0]) is int
+
     @pytest.mark.parametrize("s0, delta, n1", [(1.0, 1.0, 710), (1e300, 0.1, 200)])
     def test_rejects_overflowing_top_price(self, s0, delta, n1):
         # exp(710) overflows; 1e300 * exp(20) is finite factors, infinite product.
@@ -458,7 +468,7 @@ class TestVectorPasses:
 
 
 class TestColumnMoves:
-    """The cut band table that every column pass reads."""
+    """The cut class table that every column pass reads."""
 
     @pytest.mark.parametrize("case", list(REACHABLE_CASES))
     def test_entries_are_column_bands_cut_at_last_column(self, case):
@@ -467,10 +477,11 @@ class TestColumnMoves:
         moves = column_moves(spec, rule)
         assert len(moves) == n2
         for j, got in enumerate(moves):
-            want = [(dk, lo, min(hi, n2 - j), mask) for dk, lo, hi, mask in rule.column_bands(spec, j)
-                    if lo <= min(hi, n2 - j)]
-            assert [b[:3] for b in got] == [b[:3] for b in want]
-            assert all(g[3] is w[3] for g, w in zip(got, want))
+            want = [(mask, tuple((dk, lo, min(hi, n2 - j)) for dk, lo, hi in bands if lo <= min(hi, n2 - j)))
+                    for mask, bands in rule.column_classes(spec, j)]
+            want = [(mask, bands) for mask, bands in want if bands]
+            assert [bands for _, bands in got] == [bands for _, bands in want]
+            assert all(g[0] is w[0] for g, w in zip(got, want))
 
     @pytest.mark.parametrize("rule, n2, lists", [(bjn_rule(), 1200, 1), (MARule(8), 200, 64)])
     def test_vertex_independent_rule_shares_lists(self, rule, n2, lists):
@@ -516,23 +527,32 @@ class TestModifiedBands:
                 assert sorted(rule.bands_at(spec, k, j)) == \
                     modified_bands_by_definition(rule, spec, k, j), (k, j)
 
-    @pytest.mark.parametrize("base", [MARule(3), bjn_rule(), MARule(2, allow_flat=True)],
-                             ids=["ma3", "bjn", "ma2_flat"])
-    @pytest.mark.parametrize("fraction", [0.1, 0.3, 1.0])
-    def test_masks_partition_each_column(self, base, fraction):
-        # Bands of one vertex class share one mask row; the classes are
-        # disjoint and cover the column, and a None mask is the only class.
-        rule = inject_arbitrage(base, fraction, seed=7)
+    PARTITION_RULES = {f"{fraction}-{name}": inject_arbitrage(base, fraction, seed=7)
+                       for name, base in [("ma3", MARule(3)), ("bjn", bjn_rule()),
+                                          ("ma2_flat", MARule(2, allow_flat=True))]
+                       for fraction in (0.1, 0.3, 1.0)}
+    PARTITION_RULES.update(bjn=bjn_rule(), ma3=MARule(3), mb3a2_flat=MBRule(3, 2, allow_flat=True))
+
+    @pytest.mark.parametrize("name", list(PARTITION_RULES))
+    def test_masks_partition_each_column(self, name):
+        # The classes are disjoint and cover the column, a None mask is the
+        # only class, and bands_at reads the bands of the class that holds a vertex.
+        rule = self.PARTITION_RULES[name]
         spec = make_spec(rule, 10, 10)
         split = 0
         for j in range(spec.n2):
-            masks = list({id(m): m for *_, m in rule.column_bands(spec, j)}.values())
+            classes = rule.column_classes(spec, j)
+            masks = [m for m, _ in classes]
             if any(m is None for m in masks):
                 assert len(masks) == 1, j
             else:
                 assert (np.sum(masks, axis=0) == 1).all(), j
                 split += 1
-        assert split
+            w = spec.column_half_width(j)
+            for k in range(-w, w + 1):
+                (want,) = [bands for m, bands in classes if m is None or m[k + spec.n1]]
+                assert rule.bands_at(spec, k, j) == want, (k, j)
+        assert bool(split) == isinstance(rule, ModifiedRule)
 
 
 class TestModifiedSelection:

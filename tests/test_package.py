@@ -1,6 +1,10 @@
-"""The package's boundary: what it exports, and the bitwise-check tool that imports its tests' references."""
+"""The package's boundary: what it exports, the bitwise-check tool that imports its tests' references,
+and the benchmark's tracer, which rebinds its functions."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import trajbounds
@@ -28,3 +32,13 @@ def test_fingerprint_tool_hashes_both_sweeps(tmp_path):
     spec.loader.exec_module(tool)
     # n2 = 4 runs the banded sweep and the reference generic sweep on three payoffs.
     assert tool.family(tool.Hasher(), MARule(2), 4, 4, (4,), 2, tmp_path) == "ok"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench's tracer rebinds functions by name (engine.reachable, ModifiedRule.selection,
+    # grid.build_grid, hedge.sample_trajectory, ...): a refactor that removes one breaks it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
+           "PYTHONDONTWRITEBYTECODE": "1"}  # no __pycache__ under perfbench/
+    code = "import tracing; tracing.install(tracing.Tracer())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
